@@ -37,18 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .families import (
-    CopulaSpec,
-    Frechet,
-    GridSpec,
-    HoeffdingLower,
-    HoeffdingUpper,
-    Independence,
-    Mardia,
-    MarshallOlkin,
-    Mixture,
-    frechet_fold_params,
-)
+from .families import CopulaSpec, Frechet, Mixture, _require_spec, frechet_fold_params
 from .grid import GridCopula, discretize, fold_power, fold_product, mix_grids
 from .coefficients import beta, phi, psi, psi_prime, rho
 
@@ -121,37 +110,13 @@ def _require_positive_int(value, name: str) -> int:
 def min_ac_density(spec: CopulaSpec) -> float:
     """Essential infimum of the density of the absolutely continuous part.
 
-    Exact closed forms per family; mixtures get the weighted sum of
-    component infima, a valid (possibly conservative) lower bound c for
-    the hypothesis "density >= c almost everywhere".
+    Exact closed forms per family (``CopulaSpec.min_ac_density``);
+    mixtures get the weighted sum of component infima, a valid (possibly
+    conservative) lower bound c for the hypothesis "density >= c almost
+    everywhere"; grids get n^2 times their smallest cell mass.
     """
-    if isinstance(spec, Independence):
-        return 1.0
-    if isinstance(spec, (HoeffdingLower, HoeffdingUpper)):
-        return 0.0
-    if isinstance(spec, Frechet):
-        return 1.0 - spec.a - spec.b
-    if isinstance(spec, Mardia):
-        return min_ac_density(spec.as_frechet())
-    if isinstance(spec, MarshallOlkin):
-        # Branch y^a > x^b (density (1-a)*y^-a, infimum 1-a) is hit only
-        # when b > 0; symmetrically for the other branch. With a = b = 0
-        # the copula degenerates to independence.
-        candidates = []
-        if spec.b > 0.0:
-            candidates.append(1.0 - spec.a)
-        if spec.a > 0.0:
-            candidates.append(1.0 - spec.b)
-        return min(candidates) if candidates else 1.0
-    if isinstance(spec, Mixture):
-        return math.fsum(
-            w * min_ac_density(comp)
-            for w, comp in zip(spec.weights, spec.components)
-        )
-    if isinstance(spec, GridSpec):
-        n = spec.resolution
-        return n * n * float(spec.masses.min())
-    raise ValidationError(f"not a copula spec: {spec!r}")
+    _require_spec(spec)
+    return spec.min_ac_density()
 
 
 def verify_density_bound(spec: CopulaSpec, m: int, n: int) -> BoundCheckResult:
@@ -421,9 +386,12 @@ def verify_mixture_bound(
 class RateTable:
     """1 - psi_prime along lags m, 2m, ..., with the worst step ratio.
 
-    ``ratio`` is the maximum consecutive quotient (0 when every row is
-    zero, inf when a zero row is followed by a positive one);
-    ``satisfied`` iff ratio < 1, the geometric-decay certificate.
+    A row with 1 - psi_prime <= SLACK has converged: its value is
+    rounding noise, so no quotient is taken from it. ``ratio`` is the
+    maximum consecutive quotient over rows above that floor (0 when no
+    such row has a successor, inf when a converged row is followed by
+    one above the floor); ``satisfied`` iff ratio < 1, the
+    geometric-decay certificate. ``rows`` keeps the raw values.
     """
 
     rows: tuple[tuple[int, float], ...]
@@ -458,9 +426,9 @@ def exponential_rate_table(
             current = fold_product(current, g_m)
     ratios = []
     for (_, prev), (_, nxt) in zip(rows, rows[1:]):
-        if prev > 0.0:
+        if prev > SLACK:
             ratios.append(nxt / prev)
-        elif nxt > 0.0:
+        elif nxt > SLACK:
             ratios.append(math.inf)
     ratio = max(ratios) if ratios else 0.0
     return RateTable(rows=tuple(rows), ratio=ratio, satisfied=ratio < 1.0)

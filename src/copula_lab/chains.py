@@ -23,18 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .families import (
-    CopulaSpec,
-    Frechet,
-    GridSpec,
-    HoeffdingLower,
-    HoeffdingUpper,
-    Independence,
-    Mardia,
-    MarshallOlkin,
-    Mixture,
-    conditional_cdf,
-)
+from .families import CopulaSpec, _require_spec
 
 __all__ = [
     "Marginal",
@@ -59,6 +48,10 @@ class Marginal:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValidationError(
+                f"{self.kind} marginal parameters must be finite (got {self.params!r})"
+            )
         if self.kind == "uniform":
             if self.params:
                 raise ValidationError("uniform marginal takes no parameters")
@@ -149,58 +142,6 @@ class ChainSample:
         object.__setattr__(self, "values", arr)
 
 
-def _invert_conditional(spec: CopulaSpec, x: float, u: float) -> float:
-    # Smallest y with F(y | x) >= u, by bisection on the nondecreasing
-    # right-continuous conditional. An atom (jump crossing u) is handled
-    # by interval inclusion: the bracket converges onto the jump point.
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if conditional_cdf(spec, x, mid) >= u:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _step(spec: CopulaSpec, x: float, decision: float, value: float) -> float:
-    if isinstance(spec, Independence):
-        return value
-    if isinstance(spec, HoeffdingLower):
-        return 1.0 - x
-    if isinstance(spec, HoeffdingUpper):
-        return x
-    if isinstance(spec, Mardia):
-        return _step(spec.as_frechet(), x, decision, value)
-    if isinstance(spec, Frechet):
-        # Exact three-branch sampler: reflect with probability a, copy
-        # with probability b, fresh uniform otherwise.
-        if decision < spec.a:
-            return 1.0 - x
-        if decision < spec.a + spec.b:
-            return x
-        return value
-    if isinstance(spec, Mixture):
-        low = 0.0
-        last = len(spec.components) - 1
-        for i, (w, comp) in enumerate(zip(spec.weights, spec.components)):
-            if decision < low + w or i == last:
-                sub = (decision - low) / w
-                sub = min(max(sub, 0.0), 1.0 - 2.0**-53)
-                return _step(comp, x, sub, value)
-            low += w
-        raise AssertionError("unreachable: weights sum to 1")
-    if isinstance(spec, GridSpec):
-        n = spec.resolution
-        i = min(max(math.ceil(x * n) - 1, 0), n - 1)
-        row = np.cumsum(n * spec.masses[i])
-        j = min(int(np.searchsorted(row, decision, side="right")), n - 1)
-        return (j + value) / n
-    if isinstance(spec, MarshallOlkin):
-        return _invert_conditional(spec, x, value)
-    raise ValidationError(f"not a copula spec: {spec!r}")
-
-
 def sample_chain(
     spec: CopulaSpec, steps: int, seed: int, marginal: str | Marginal = "uniform"
 ) -> ChainSample:
@@ -215,6 +156,7 @@ def sample_chain(
         raise ValidationError(f"steps must be an integer >= 2 (got {steps!r})")
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be a 64-bit unsigned integer (got {seed!r})")
+    _require_spec(spec)
     if isinstance(marginal, str):
         marginal = Marginal.parse(marginal)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -224,8 +166,9 @@ def sample_chain(
     values = rng.integers(1, 2**53, size=steps) / LATTICE
     u = np.empty(steps)
     u[0] = values[0]
+    step = spec.step
     for t in range(1, steps):
-        u[t] = _step(spec, float(u[t - 1]), float(decisions[t]), float(values[t]))
+        u[t] = step(float(u[t - 1]), float(decisions[t]), float(values[t]))
     return ChainSample(
         values=marginal.quantile(u), seed=seed, spec=spec, marginal=marginal
     )

@@ -35,14 +35,7 @@ from .bounds import (
 from .chains import ChainSample, Marginal, empirical_lag_stats, sample_chain
 from .coefficients import report
 from .errors import NumericalError, ValidationError
-from .families import (
-    CopulaSpec,
-    Frechet,
-    Mardia,
-    Mixture,
-    parse_spec,
-    spec_digest,
-)
+from .families import CopulaSpec, Frechet, Mixture, parse_spec, spec_digest
 from .grid import discretize, write_grid_csv
 
 __all__ = ["run", "main", "parse_lag_list"]
@@ -93,8 +86,15 @@ def _parse_eps_list(text: str) -> list[float]:
         raise ValidationError(f"bad epsilon list {text!r}") from exc
 
 
+def _decode_ascii(data: bytes, path: str) -> str:
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path!r} is not ASCII text: {exc}") from exc
+
+
 def _load_spec(path: str) -> CopulaSpec:
-    return parse_spec(Path(path).read_text(encoding="ascii"))
+    return parse_spec(_decode_ascii(Path(path).read_bytes(), path))
 
 
 def _write_json(path: str, obj) -> None:
@@ -135,8 +135,7 @@ def _require_mixture(spec: CopulaSpec) -> Mixture:
 
 
 def _frechet_params(spec: CopulaSpec) -> tuple[float, float]:
-    if isinstance(spec, Mardia):
-        spec = spec.as_frechet()
+    # A Mardia spec is a Frechet member and passes with its own a and b.
     if not isinstance(spec, Frechet):
         raise ValidationError(
             "the psi-divergence check needs a frechet or mardia spec"
@@ -301,7 +300,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_lagstats(args) -> int:
     data = Path(args.infile).read_bytes()
     values = []
-    for k, line in enumerate(data.decode("ascii").splitlines(), start=1):
+    for k, line in enumerate(_decode_ascii(data, args.infile).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

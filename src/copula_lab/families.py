@@ -1,10 +1,36 @@
 """Bivariate copula families on the unit square.
 
-This module is the symbolic half of the library: immutable parameter
-containers for the supported families, pointwise CDF evaluation, the
-density of the absolutely continuous part, the conditional CDF that
-acts as the transition kernel of the induced stationary chain, and the
-closed-form lag-n parameters of the Frechet family.
+This module is the symbolic half of the library: one immutable spec
+class per family, each carrying all of that family's behaviour, and
+the public functions that validate their arguments and call it.
+
+The family protocol
+-------------------
+Every family derives from :class:`CopulaSpec` and implements
+
+* ``cdf(x, y)``                 C(x, y) on broadcast float arrays
+* ``cond_cdf(x, y)``            P(X1 <= y | X0 = x) on broadcast float
+                                arrays, the transition kernel of the
+                                induced stationary chain
+* ``ac_density(x, y)``          density of the absolutely continuous part
+                                at an interior point, or ``ON_SINGULAR``
+* ``min_ac_density()``          essential infimum of that density; the
+                                default 0 is a valid lower bound
+* ``cell_masses(n)``            exact n x n grid cell masses; the default
+                                is CDF inclusion-exclusion, which is exact
+                                for every family, and families with a
+                                closed form override it
+* ``step(x, decision, value)``  one chain step from state x, given the two
+                                Philox words of the step; the default
+                                bisects ``cond_cdf`` at the value word,
+                                families with an exact sampler override it
+* ``to_json(canonical)``        the JSON form; the default writes
+                                ``type_name`` and the ``json_fields``
+
+Parsing goes through one registry, ``_REGISTRY`` (type name -> class),
+and ``from_json``, which by default passes the ``json_fields`` to the
+constructor. ``Mixture`` recurses over its components. Adding a family
+touches one class: write it and list it in ``_REGISTRY``.
 
 Supported families
 ------------------
@@ -16,8 +42,10 @@ Supported families
                               b = theta^2*(1+theta)/2
 * ``MarshallOlkin(a, b)``     min(x * y^(1-a), y * x^(1-b))
 * ``Mixture(weights, comps)`` convex combination of other specs
-* ``GridSpec(n, masses)``     piecewise-uniform measure loaded from a CSV
-                              cell-mass file (see copula_lab.grid)
+* ``GridSpec(n, masses)``     piecewise-uniform measure on the n x n grid,
+                              loaded from a CSV cell-mass file or produced
+                              by the grid algebra (``grid.GridCopula`` is
+                              this class)
 
 Density queries that land exactly on a singular support line return the
 marker ``ON_SINGULAR`` instead of a number. All measure-level work goes
@@ -71,6 +99,10 @@ WEIGHT_TOL = 1e-12
 CLAMP_TOL = 1e-15
 MARGINAL_TOL = 1e-12
 
+# Deepest mixture nesting a parsed spec may have. The protocol methods
+# recurse once per level, so this also bounds their stack depth.
+MAX_SPEC_DEPTH = 64
+
 
 def _require_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -81,23 +113,136 @@ def _require_number(value, name: str) -> float:
     return v
 
 
+def _require_resolution(n) -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise ValidationError(f"resolution must be an integer >= 2 (got {n!r})")
+    return n
+
+
+def _require_spec(spec) -> None:
+    if not isinstance(spec, CopulaSpec):
+        raise ValidationError(f"not a copula spec: {spec!r}")
+
+
+class CopulaSpec:
+    """Base class of every copula family; see the module docstring.
+
+    Subclasses set ``type_name`` (the JSON ``type``) and ``json_fields``
+    and implement the protocol methods.
+    """
+
+    type_name = ""
+    json_fields: tuple[str, ...] = ()
+
+    def min_ac_density(self) -> float:
+        """0, a valid lower bound for every family; others override it."""
+        return 0.0
+
+    def cell_masses(self, n: int) -> np.ndarray:
+        """Masses of the n x n grid cells by CDF inclusion-exclusion."""
+        edges = np.arange(n + 1) / n
+        cdf = self.cdf(edges[:, None], edges[None, :])
+        return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
+
+    def step(self, x: float, decision: float, value: float) -> float:
+        """Smallest y with cond_cdf(x, y) >= value, to within 1e-12.
+
+        Bisection on the nondecreasing right-continuous conditional; an
+        atom (a jump crossing value) is handled by interval inclusion, as
+        the bracket converges onto the jump point. 0-d arrays keep
+        numpy's pow kernel, which can differ from Python's float pow by
+        an ulp. Families with an exact sampler override this.
+        """
+        xa = np.asarray(x, dtype=float)
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if self.cond_cdf(xa, np.asarray(mid, dtype=float)) >= value:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    def to_json(self, canonical: bool = False) -> dict:
+        """JSON-ready dict; ``canonical`` asks for the form digests hash."""
+        return {"type": self.type_name, **{f: getattr(self, f) for f in self.json_fields}}
+
+    @classmethod
+    def from_json(cls, obj: dict, depth: int) -> CopulaSpec:
+        return cls(**{f: obj[f] for f in cls.json_fields})
+
+
 @dataclass(frozen=True)
-class Independence:
+class Independence(CopulaSpec):
     """The independence copula Pi(x, y) = x*y."""
 
+    type_name = "independence"
+
+    def cdf(self, x, y):
+        return x * y
+
+    def cond_cdf(self, x, y):
+        return np.broadcast_arrays(x, y)[1].astype(float) + 0.0 * x
+
+    def ac_density(self, x: float, y: float) -> float:
+        return 1.0
+
+    def min_ac_density(self) -> float:
+        return 1.0
+
+    def cell_masses(self, n: int) -> np.ndarray:
+        return np.full((n, n), 1.0 / (n * n))
+
+    def step(self, x: float, decision: float, value: float) -> float:
+        return value
+
 
 @dataclass(frozen=True)
-class HoeffdingLower:
+class HoeffdingLower(CopulaSpec):
     """The countermonotone copula W; all mass on the line y = 1 - x."""
 
+    type_name = "w"
+
+    def cdf(self, x, y):
+        return np.maximum(x + y - 1.0, 0.0)
+
+    def cond_cdf(self, x, y):
+        return (y >= 1.0 - x).astype(float)
+
+    def ac_density(self, x: float, y: float) -> float:
+        return ON_SINGULAR if x + y == 1.0 else 0.0
+
+    def cell_masses(self, n: int) -> np.ndarray:
+        return np.fliplr(np.eye(n)) / n
+
+    def step(self, x: float, decision: float, value: float) -> float:
+        return 1.0 - x
+
 
 @dataclass(frozen=True)
-class HoeffdingUpper:
+class HoeffdingUpper(CopulaSpec):
     """The comonotone copula M; all mass on the diagonal y = x."""
 
+    type_name = "m"
+
+    def cdf(self, x, y):
+        return np.minimum(x, y)
+
+    def cond_cdf(self, x, y):
+        return (y >= x).astype(float)
+
+    def ac_density(self, x: float, y: float) -> float:
+        return ON_SINGULAR if x == y else 0.0
+
+    def cell_masses(self, n: int) -> np.ndarray:
+        return np.eye(n) / n
+
+    def step(self, x: float, decision: float, value: float) -> float:
+        return x
+
 
 @dataclass(frozen=True)
-class Frechet:
+class Frechet(CopulaSpec):
     """Convex combination a*W + b*M + (1 - a - b)*Pi.
 
     Requires a >= 0, b >= 0 and a + b <= 1. The family is closed under
@@ -106,6 +251,9 @@ class Frechet:
 
     a: float
     b: float
+
+    type_name = "frechet"
+    json_fields = ("a", "b")
 
     def __post_init__(self) -> None:
         a = _require_number(self.a, "a")
@@ -119,26 +267,83 @@ class Frechet:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    def cdf(self, x, y):
+        a, b = self.a, self.b
+        return (
+            a * np.maximum(x + y - 1.0, 0.0)
+            + b * np.minimum(x, y)
+            + (1.0 - a - b) * x * y
+        )
 
-@dataclass(frozen=True)
-class Mardia:
-    """One-parameter Frechet subfamily with weight sum a + b = theta^2."""
+    def cond_cdf(self, x, y):
+        a, b = self.a, self.b
+        return (
+            a * (y >= 1.0 - x)
+            + b * (y >= x)
+            + (1.0 - a - b) * (y + 0.0 * x)
+        )
+
+    def ac_density(self, x: float, y: float) -> float:
+        if self.b > 0.0 and x == y:
+            return ON_SINGULAR
+        if self.a > 0.0 and x + y == 1.0:
+            return ON_SINGULAR
+        return 1.0 - self.a - self.b
+
+    def min_ac_density(self) -> float:
+        return 1.0 - self.a - self.b
+
+    def cell_masses(self, n: int) -> np.ndarray:
+        # Linear in the three parts, so the masses stay float-exact where
+        # the parts' closed-form grids are.
+        a, b = self.a, self.b
+        out = np.zeros((n, n))
+        for w, part in (
+            (a, HoeffdingLower()),
+            (b, HoeffdingUpper()),
+            (1.0 - a - b, Independence()),
+        ):
+            if w != 0.0:
+                out += w * part.cell_masses(n)
+        return out
+
+    def step(self, x: float, decision: float, value: float) -> float:
+        # Exact three-branch sampler: reflect with probability a, copy
+        # with probability b, fresh uniform otherwise.
+        if decision < self.a:
+            return 1.0 - x
+        if decision < self.a + self.b:
+            return x
+        return value
+
+
+@dataclass(frozen=True, init=False)
+class Mardia(Frechet):
+    """One-parameter Frechet subfamily with weight sum a + b = theta^2.
+
+    It is the Frechet member a = theta^2*(1-theta)/2,
+    b = theta^2*(1+theta)/2 and behaves as one; only its JSON form
+    (``"mardia"`` with ``theta``) is its own.
+    """
 
     theta: float
 
-    def __post_init__(self) -> None:
-        theta = _require_number(self.theta, "theta")
-        if abs(theta) > 1.0:
-            raise ValidationError(f"|theta| <= 1 violated (got {theta})")
-        object.__setattr__(self, "theta", theta)
+    type_name = "mardia"
+    json_fields = ("theta",)
+
+    def __init__(self, theta: float) -> None:
+        t = _require_number(theta, "theta")
+        if abs(t) > 1.0:
+            raise ValidationError(f"|theta| <= 1 violated (got {t})")
+        object.__setattr__(self, "theta", t)
+        super().__init__(a=t * t * (1.0 - t) / 2.0, b=t * t * (1.0 + t) / 2.0)
 
     def as_frechet(self) -> Frechet:
-        t = self.theta
-        return Frechet(a=t * t * (1.0 - t) / 2.0, b=t * t * (1.0 + t) / 2.0)
+        return Frechet(a=self.a, b=self.b)
 
 
 @dataclass(frozen=True)
-class MarshallOlkin:
+class MarshallOlkin(CopulaSpec):
     """C(x, y) = min(x * y^(1-a), y * x^(1-b)) with 0 <= a, b <= 1.
 
     Absolutely continuous off the curve y^a = x^b, where a singular
@@ -150,6 +355,9 @@ class MarshallOlkin:
     a: float
     b: float
 
+    type_name = "marshall-olkin"
+    json_fields = ("a", "b")
+
     def __post_init__(self) -> None:
         a = _require_number(self.a, "a")
         b = _require_number(self.b, "b")
@@ -160,9 +368,45 @@ class MarshallOlkin:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    def cdf(self, x, y):
+        return np.minimum(x * y ** (1.0 - self.a), y * x ** (1.0 - self.b))
+
+    def cond_cdf(self, x, y):
+        a, b = self.a, self.b
+        # On the curve y^a == x^b this takes the right limit: the single
+        # atom of the conditional law at y* = x^(b/a) is included (cadlag).
+        upper = y ** (1.0 - a) + 0.0 * x
+        lower = (1.0 - b) * x ** (-b) * y
+        return np.where(y**a >= x**b, upper, lower)
+
+    def ac_density(self, x: float, y: float) -> float:
+        a, b = self.a, self.b
+        p = x**b
+        q = y**a
+        if p == q:
+            # On the singular curve when it carries mass; otherwise the
+            # parameters degenerate to independence along this locus.
+            if a > 0.0 and b > 0.0:
+                return ON_SINGULAR
+            return 1.0
+        if q > p:
+            return (1.0 - a) * y ** (-a)
+        return (1.0 - b) * x ** (-b)
+
+    def min_ac_density(self) -> float:
+        # Branch y^a > x^b (density (1-a)*y^-a, infimum 1-a) is hit only
+        # when b > 0; symmetrically for the other branch. With a = b = 0
+        # the copula degenerates to independence.
+        candidates = []
+        if self.b > 0.0:
+            candidates.append(1.0 - self.a)
+        if self.a > 0.0:
+            candidates.append(1.0 - self.b)
+        return min(candidates) if candidates else 1.0
+
 
 @dataclass(frozen=True)
-class Mixture:
+class Mixture(CopulaSpec):
     """Convex mixture of component copulas.
 
     Weights must be strictly positive and sum to 1 within 1e-12;
@@ -170,7 +414,10 @@ class Mixture:
     """
 
     weights: tuple[float, ...]
-    components: tuple["CopulaSpec", ...]
+    components: tuple[CopulaSpec, ...]
+
+    type_name = "mixture"
+    json_fields = ("weights", "components")
 
     def __post_init__(self) -> None:
         weights = tuple(_require_number(w, "weight") for w in self.weights)
@@ -189,63 +436,122 @@ class Mixture:
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValidationError(f"weights sum to 1 violated (got {total!r})")
         for c in components:
-            if not isinstance(c, _SPEC_TYPES):
+            if not isinstance(c, CopulaSpec):
                 raise ValidationError(f"mixture component is not a copula spec: {c!r}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "components", components)
 
+    def _weighted_sum(self, part, shape) -> np.ndarray:
+        out = np.zeros(shape)
+        for w, comp in zip(self.weights, self.components):
+            out += w * part(comp)
+        return out
 
-def validate_cell_masses(masses, resolution: int) -> np.ndarray:
-    """Validate and normalize an n x n cell-mass matrix.
+    def cdf(self, x, y):
+        return self._weighted_sum(lambda c: c.cdf(x, y), np.broadcast(x, y).shape)
 
-    Clamps rounding dust in (-1e-15, 0) to zero, rejects anything more
-    negative, and checks total mass 1 and row/column sums 1/n within
-    1e-12. Returns a read-only float64 copy.
-    """
-    n = resolution
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValidationError(f"resolution must be an integer >= 2 (got {resolution!r})")
-    arr = np.array(masses, dtype=float)
-    if arr.shape != (n, n):
-        raise ValidationError(f"mass matrix shape {arr.shape} does not match n={n}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("mass matrix contains non-finite entries")
-    low = float(arr.min())
-    if low < -CLAMP_TOL:
-        raise ValidationError(
-            f"cell mass below -1e-15 (got {low!r}); input is not 2-increasing"
+    def cond_cdf(self, x, y):
+        return self._weighted_sum(lambda c: c.cond_cdf(x, y), np.broadcast(x, y).shape)
+
+    def cell_masses(self, n: int) -> np.ndarray:
+        return self._weighted_sum(lambda c: c.cell_masses(n), (n, n))
+
+    def ac_density(self, x: float, y: float) -> float:
+        total = 0.0
+        for w, comp in zip(self.weights, self.components):
+            d = comp.ac_density(x, y)
+            if d == ON_SINGULAR:
+                return ON_SINGULAR
+            total += w * d
+        return total
+
+    def min_ac_density(self) -> float:
+        # The weighted sum of component infima: a valid, possibly
+        # conservative, lower bound.
+        return math.fsum(
+            w * comp.min_ac_density()
+            for w, comp in zip(self.weights, self.components)
         )
-    np.maximum(arr, 0.0, out=arr)
-    total = float(arr.sum())
-    if abs(total - 1.0) > MARGINAL_TOL:
-        raise ValidationError(f"total mass = 1 violated (got {total!r})")
-    target = 1.0 / n
-    row_err = float(np.abs(arr.sum(axis=1) - target).max())
-    col_err = float(np.abs(arr.sum(axis=0) - target).max())
-    if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
-        raise ValidationError(
-            f"uniform marginals violated (row dev {row_err!r}, col dev {col_err!r})"
+
+    def step(self, x: float, decision: float, value: float) -> float:
+        # The decision word picks a component and, rescaled to [0, 1),
+        # serves again as that component's decision.
+        low = 0.0
+        last = len(self.components) - 1
+        for i, (w, comp) in enumerate(zip(self.weights, self.components)):
+            if decision < low + w or i == last:
+                sub = (decision - low) / w
+                sub = min(max(sub, 0.0), 1.0 - 2.0**-53)
+                return comp.step(x, sub, value)
+            low += w
+        raise AssertionError("unreachable: weights sum to 1")
+
+    def to_json(self, canonical: bool = False) -> dict:
+        return {
+            "type": self.type_name,
+            "weights": list(self.weights),
+            "components": [c.to_json(canonical) for c in self.components],
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict, depth: int) -> Mixture:
+        weights = obj["weights"]
+        components = obj["components"]
+        if not isinstance(weights, list) or not isinstance(components, list):
+            raise ValidationError("mixture 'weights' and 'components' must be lists")
+        return cls(
+            weights=tuple(_require_number(w, "weight") for w in weights),
+            components=tuple(_spec_from_obj(c, depth + 1) for c in components),
         )
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
-class GridSpec:
+class GridSpec(CopulaSpec):
     """A copula given by cell masses on a uniform n x n grid.
 
     Cell (i, j), zero-indexed, covers (i/n, (i+1)/n] x (j/n, (j+1)/n].
     The measure is treated as uniform within each cell, so the CDF is
-    the bilinear interpolation of the cumulative node values. ``path``
-    records the CSV origin when loaded from disk (needed to serialize).
+    the bilinear interpolation of the cumulative node values. This is
+    also the grid type of the fold algebra (``grid.GridCopula``).
+    ``path`` records the CSV origin when loaded from disk (needed to
+    serialize); equality and the digest look at the masses only.
+
+    Validation clamps rounding dust in (-1e-15, 0) to zero, rejects
+    anything more negative, and checks total mass 1 and row/column sums
+    1/n within 1e-12. The stored mass array is a read-only copy.
     """
 
     resolution: int
     masses: np.ndarray
     path: str | None = None
 
+    type_name = "grid"
+    json_fields = ("path",)
+
     def __post_init__(self) -> None:
-        arr = validate_cell_masses(self.masses, self.resolution)
+        n = _require_resolution(self.resolution)
+        arr = np.array(self.masses, dtype=float)
+        if arr.shape != (n, n):
+            raise ValidationError(f"mass matrix shape {arr.shape} does not match n={n}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("mass matrix contains non-finite entries")
+        low = float(arr.min())
+        if low < -CLAMP_TOL:
+            raise ValidationError(
+                f"cell mass below -1e-15 (got {low!r}); input is not 2-increasing"
+            )
+        np.maximum(arr, 0.0, out=arr)
+        total = float(arr.sum())
+        if abs(total - 1.0) > MARGINAL_TOL:
+            raise ValidationError(f"total mass = 1 violated (got {total!r})")
+        target = 1.0 / n
+        row_err = float(np.abs(arr.sum(axis=1) - target).max())
+        col_err = float(np.abs(arr.sum(axis=0) - target).max())
+        if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
+            raise ValidationError(
+                f"uniform marginals violated (row dev {row_err!r}, col dev {col_err!r})"
+            )
+        arr.setflags(write=False)
         object.__setattr__(self, "masses", arr)
 
     def __eq__(self, other) -> bool:
@@ -255,72 +561,15 @@ class GridSpec:
             and np.array_equal(self.masses, other.masses)
         )
 
+    def densities(self) -> np.ndarray:
+        """Cell densities n^2 * masses (the discrete stand-in for c(x, y))."""
+        n = self.resolution
+        return (n * n) * self.masses
 
-CopulaSpec = (
-    Independence
-    | HoeffdingLower
-    | HoeffdingUpper
-    | Frechet
-    | Mardia
-    | MarshallOlkin
-    | Mixture
-    | GridSpec
-)
-
-_SPEC_TYPES = (
-    Independence,
-    HoeffdingLower,
-    HoeffdingUpper,
-    Frechet,
-    Mardia,
-    MarshallOlkin,
-    Mixture,
-    GridSpec,
-)
-
-
-# ---------------------------------------------------------------------------
-# CDF evaluation
-
-
-def _check_unit_range(arr: np.ndarray, name: str) -> None:
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValidationError(f"{name} must lie in [0, 1]")
-
-
-def _grid_nodes(spec: GridSpec) -> np.ndarray:
-    n = spec.resolution
-    nodes = np.zeros((n + 1, n + 1))
-    nodes[1:, 1:] = spec.masses.cumsum(axis=0).cumsum(axis=1)
-    return nodes
-
-
-def _cdf(spec: CopulaSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if isinstance(spec, Independence):
-        return x * y
-    if isinstance(spec, HoeffdingLower):
-        return np.maximum(x + y - 1.0, 0.0)
-    if isinstance(spec, HoeffdingUpper):
-        return np.minimum(x, y)
-    if isinstance(spec, Frechet):
-        a, b = spec.a, spec.b
-        return (
-            a * np.maximum(x + y - 1.0, 0.0)
-            + b * np.minimum(x, y)
-            + (1.0 - a - b) * x * y
-        )
-    if isinstance(spec, Mardia):
-        return _cdf(spec.as_frechet(), x, y)
-    if isinstance(spec, MarshallOlkin):
-        return np.minimum(x * y ** (1.0 - spec.a), y * x ** (1.0 - spec.b))
-    if isinstance(spec, Mixture):
-        out = np.zeros(np.broadcast(x, y).shape)
-        for w, comp in zip(spec.weights, spec.components):
-            out = out + w * _cdf(comp, x, y)
-        return out
-    if isinstance(spec, GridSpec):
-        n = spec.resolution
-        nodes = _grid_nodes(spec)
+    def cdf(self, x, y):
+        n = self.resolution
+        nodes = np.zeros((n + 1, n + 1))
+        nodes[1:, 1:] = self.masses.cumsum(axis=0).cumsum(axis=1)
         xb, yb = np.broadcast_arrays(x, y)
         tx = xb * n
         ty = yb * n
@@ -334,67 +583,79 @@ def _cdf(spec: CopulaSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             + nodes[i, j + 1] * (1.0 - u) * v
             + nodes[i + 1, j + 1] * u * v
         )
-    raise ValidationError(f"not a copula spec: {spec!r}")
 
+    def cond_cdf(self, x, y):
+        n = self.resolution
+        xb, yb = np.broadcast_arrays(x, y)
+        i = np.clip(np.ceil(xb * n).astype(int) - 1, 0, n - 1)
+        j = np.clip((yb * n).astype(int), 0, n - 1)
+        rowcum = np.zeros((n, n + 1))
+        rowcum[:, 1:] = self.masses.cumsum(axis=1)
+        v = yb * n - j
+        out = n * (rowcum[i, j] + v * self.masses[i, j])
+        return np.minimum(out, 1.0)
 
-def eval_cdf(spec: CopulaSpec, x, y):
-    """Evaluate C(x, y). Accepts scalars or broadcastable arrays in [0, 1]."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    _check_unit_range(xa, "x")
-    _check_unit_range(ya, "y")
-    out = np.asarray(_cdf(spec, xa, ya))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Density of the absolutely continuous part (pointwise, scalar only)
-
-
-def _ac_density(spec: CopulaSpec, x: float, y: float) -> float:
-    if isinstance(spec, Independence):
-        return 1.0
-    if isinstance(spec, HoeffdingLower):
-        return ON_SINGULAR if x + y == 1.0 else 0.0
-    if isinstance(spec, HoeffdingUpper):
-        return ON_SINGULAR if x == y else 0.0
-    if isinstance(spec, Frechet):
-        if spec.b > 0.0 and x == y:
-            return ON_SINGULAR
-        if spec.a > 0.0 and x + y == 1.0:
-            return ON_SINGULAR
-        return 1.0 - spec.a - spec.b
-    if isinstance(spec, Mardia):
-        return _ac_density(spec.as_frechet(), x, y)
-    if isinstance(spec, MarshallOlkin):
-        a, b = spec.a, spec.b
-        p = x**b
-        q = y**a
-        if p == q:
-            # On the singular curve when it carries mass; otherwise the
-            # parameters degenerate to independence along this locus.
-            if a > 0.0 and b > 0.0:
-                return ON_SINGULAR
-            return 1.0
-        if q > p:
-            return (1.0 - a) * y ** (-a)
-        return (1.0 - b) * x ** (-b)
-    if isinstance(spec, Mixture):
-        total = 0.0
-        for w, comp in zip(spec.weights, spec.components):
-            d = _ac_density(comp, x, y)
-            if d == ON_SINGULAR:
-                return ON_SINGULAR
-            total += w * d
-        return total
-    if isinstance(spec, GridSpec):
+    def ac_density(self, x: float, y: float) -> float:
         raise ValidationError(
             "density of a grid spec is piecewise by construction; "
             "read cell masses from copula_lab.grid instead"
         )
-    raise ValidationError(f"not a copula spec: {spec!r}")
+
+    def min_ac_density(self) -> float:
+        n = self.resolution
+        return n * n * float(self.masses.min())
+
+    def cell_masses(self, n: int) -> np.ndarray:
+        if n == self.resolution:
+            return self.masses.copy()
+        return super().cell_masses(n)
+
+    def step(self, x: float, decision: float, value: float) -> float:
+        n = self.resolution
+        i = min(max(math.ceil(x * n) - 1, 0), n - 1)
+        row = np.cumsum(n * self.masses[i])
+        j = min(int(np.searchsorted(row, decision, side="right")), n - 1)
+        return (j + value) / n
+
+    def to_json(self, canonical: bool = False) -> dict:
+        # The canonical form stands for the cell masses, so a digest
+        # follows the file's content rather than its name.
+        if canonical:
+            digest = hashlib.sha256(self.masses.tobytes()).hexdigest()
+            return {"type": self.type_name, "n": self.resolution, "masses_sha256": digest}
+        if self.path is None:
+            raise ValidationError("in-memory grid spec has no file path to serialize")
+        return {"type": self.type_name, "path": self.path}
+
+    @classmethod
+    def from_json(cls, obj: dict, depth: int) -> GridSpec:
+        path = obj["path"]
+        if not isinstance(path, str):
+            raise ValidationError("grid 'path' must be a string")
+        n, masses = read_mass_csv(path)
+        return cls(resolution=n, masses=masses, path=path)
+
+
+# ---------------------------------------------------------------------------
+# Pointwise evaluation
+
+
+def _check_unit_range(arr: np.ndarray, name: str) -> None:
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValidationError(f"{name} must lie in [0, 1]")
+
+
+def eval_cdf(spec: CopulaSpec, x, y):
+    """Evaluate C(x, y). Accepts scalars or broadcastable arrays in [0, 1]."""
+    _require_spec(spec)
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    _check_unit_range(xa, "x")
+    _check_unit_range(ya, "y")
+    out = np.asarray(spec.cdf(xa, ya))
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def eval_ac_density(spec: CopulaSpec, x: float, y: float) -> float:
@@ -404,113 +665,27 @@ def eval_ac_density(spec: CopulaSpec, x: float, y: float) -> float:
     support line (the diagonals for Frechet-type families, the curve
     y^a = x^b for Marshall-Olkin).
     """
+    _require_spec(spec)
     x = _require_number(x, "x")
     y = _require_number(y, "y")
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise ValidationError("(x, y) must lie in the open unit square")
-    return _ac_density(spec, x, y)
-
-
-# ---------------------------------------------------------------------------
-# Conditional CDF (transition kernel)
-
-
-def _cond_scalar(spec: CopulaSpec, x: float, y: float) -> float:
-    # Scalar fast path; semantics identical to the array branch below.
-    if isinstance(spec, Independence):
-        return y
-    if isinstance(spec, HoeffdingLower):
-        return 1.0 if y >= 1.0 - x else 0.0
-    if isinstance(spec, HoeffdingUpper):
-        return 1.0 if y >= x else 0.0
-    if isinstance(spec, Frechet):
-        # Same operation order as the array branch so both agree bitwise.
-        a, b = spec.a, spec.b
-        ind_w = 1.0 if y >= 1.0 - x else 0.0
-        ind_m = 1.0 if y >= x else 0.0
-        return a * ind_w + b * ind_m + (1.0 - a - b) * y
-    if isinstance(spec, Mardia):
-        return _cond_scalar(spec.as_frechet(), x, y)
-    if isinstance(spec, MarshallOlkin):
-        # numpy's pow kernel can differ from libm pow by an ulp, so run
-        # scalars through the array branch to keep both calls bitwise equal.
-        return float(_cond_array(spec, np.asarray(x, float), np.asarray(y, float)))
-    if isinstance(spec, Mixture):
-        out = 0.0
-        for w, comp in zip(spec.weights, spec.components):
-            out = out + w * _cond_scalar(comp, x, y)
-        return out
-    if isinstance(spec, GridSpec):
-        n = spec.resolution
-        i = min(max(math.ceil(x * n) - 1, 0), n - 1)
-        j = min(int(y * n), n - 1)
-        row = spec.masses[i]
-        base = float(row[:j + 1].cumsum()[j - 1]) if j else 0.0
-        v = y * n - j
-        return min(n * (base + v * float(row[j])), 1.0)
-    raise ValidationError(f"not a copula spec: {spec!r}")
-
-
-def _cond_array(spec: CopulaSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if isinstance(spec, Independence):
-        return np.broadcast_arrays(x, y)[1].astype(float) + 0.0 * x
-    if isinstance(spec, HoeffdingLower):
-        return (y >= 1.0 - x).astype(float)
-    if isinstance(spec, HoeffdingUpper):
-        return (y >= x).astype(float)
-    if isinstance(spec, Frechet):
-        a, b = spec.a, spec.b
-        return (
-            a * (y >= 1.0 - x)
-            + b * (y >= x)
-            + (1.0 - a - b) * (y + 0.0 * x)
-        )
-    if isinstance(spec, Mardia):
-        return _cond_array(spec.as_frechet(), x, y)
-    if isinstance(spec, MarshallOlkin):
-        a, b = spec.a, spec.b
-        # On the curve y^a == x^b this takes the right limit: the single
-        # atom of the conditional law at y* = x^(b/a) is included (cadlag).
-        upper = y ** (1.0 - a) + 0.0 * x
-        lower = (1.0 - b) * x ** (-b) * y
-        return np.where(y**a >= x**b, upper, lower)
-    if isinstance(spec, Mixture):
-        out = np.zeros(np.broadcast(x, y).shape)
-        for w, comp in zip(spec.weights, spec.components):
-            out = out + w * _cond_array(comp, x, y)
-        return out
-    if isinstance(spec, GridSpec):
-        n = spec.resolution
-        xb, yb = np.broadcast_arrays(x, y)
-        i = np.clip(np.ceil(xb * n).astype(int) - 1, 0, n - 1)
-        j = np.clip((yb * n).astype(int), 0, n - 1)
-        rowcum = np.zeros((n, n + 1))
-        rowcum[:, 1:] = spec.masses.cumsum(axis=1)
-        v = yb * n - j
-        out = n * (rowcum[i, j] + v * spec.masses[i, j])
-        return np.minimum(out, 1.0)
-    raise ValidationError(f"not a copula spec: {spec!r}")
+    return spec.ac_density(x, y)
 
 
 def conditional_cdf(spec: CopulaSpec, x, y):
     """P(X1 <= y | X0 = x), nondecreasing and right-continuous in y.
 
-    ``x`` must lie in the open interval (0, 1); ``y`` in [0, 1]. Scalar
-    inputs get a pure-scalar evaluation (the chain sampler bisects this
-    in a tight loop); array inputs broadcast.
+    ``x`` must lie in the open interval (0, 1); ``y`` in [0, 1]. Inputs
+    broadcast; scalar inputs give a float.
     """
-    if isinstance(x, float) and isinstance(y, float):
-        if not 0.0 < x < 1.0:
-            raise ValidationError("x must lie in (0, 1)")
-        if not 0.0 <= y <= 1.0:
-            raise ValidationError("y must lie in [0, 1]")
-        return _cond_scalar(spec, x, y)
+    _require_spec(spec)
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if not np.all((xa > 0.0) & (xa < 1.0)):
         raise ValidationError("x must lie in (0, 1)")
     _check_unit_range(ya, "y")
-    out = np.asarray(_cond_array(spec, xa, ya))
+    out = np.asarray(spec.cond_cdf(xa, ya))
     if out.ndim == 0:
         return float(out)
     return out
@@ -561,48 +736,29 @@ def frechet_fold_params(a: float, b: float, n: int) -> FrechetParams:
 # ---------------------------------------------------------------------------
 # JSON serialization
 #
-# Schema: {"type": "independence"|"w"|"m"|"frechet"|"mardia"|
-#          "marshall-olkin"|"mixture"|"grid"} with parameters as sibling
-# fields ("a"/"b", "theta", "weights"+"components", "path"). Unknown
-# fields are rejected.
+# Schema: {"type": <a registered type_name>} with the class's json_fields
+# as sibling fields ("a"/"b", "theta", "weights"+"components", "path").
+# Unknown fields are rejected.
 
-_TYPE_FIELDS = {
-    "independence": frozenset(),
-    "w": frozenset(),
-    "m": frozenset(),
-    "frechet": frozenset({"a", "b"}),
-    "mardia": frozenset({"theta"}),
-    "marshall-olkin": frozenset({"a", "b"}),
-    "mixture": frozenset({"weights", "components"}),
-    "grid": frozenset({"path"}),
+_REGISTRY = {
+    cls.type_name: cls
+    for cls in (
+        Independence,
+        HoeffdingLower,
+        HoeffdingUpper,
+        Frechet,
+        Mardia,
+        MarshallOlkin,
+        Mixture,
+        GridSpec,
+    )
 }
 
 
 def serialize_spec(spec: CopulaSpec) -> dict:
     """Spec as a plain JSON-ready dict (inverse of :func:`parse_spec`)."""
-    if isinstance(spec, Independence):
-        return {"type": "independence"}
-    if isinstance(spec, HoeffdingLower):
-        return {"type": "w"}
-    if isinstance(spec, HoeffdingUpper):
-        return {"type": "m"}
-    if isinstance(spec, Frechet):
-        return {"type": "frechet", "a": spec.a, "b": spec.b}
-    if isinstance(spec, Mardia):
-        return {"type": "mardia", "theta": spec.theta}
-    if isinstance(spec, MarshallOlkin):
-        return {"type": "marshall-olkin", "a": spec.a, "b": spec.b}
-    if isinstance(spec, Mixture):
-        return {
-            "type": "mixture",
-            "weights": list(spec.weights),
-            "components": [serialize_spec(c) for c in spec.components],
-        }
-    if isinstance(spec, GridSpec):
-        if spec.path is None:
-            raise ValidationError("in-memory grid spec has no file path to serialize")
-        return {"type": "grid", "path": spec.path}
-    raise ValidationError(f"not a copula spec: {spec!r}")
+    _require_spec(spec)
+    return spec.to_json()
 
 
 def read_mass_csv(path: str) -> tuple[int, np.ndarray]:
@@ -612,6 +768,8 @@ def read_mass_csv(path: str) -> tuple[int, np.ndarray]:
             lines = [line.strip() for line in fh if line.strip() != ""]
     except OSError as exc:
         raise ValidationError(f"cannot read grid file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"grid file {path!r} is not ASCII text: {exc}") from exc
     if not lines:
         raise ValidationError(f"grid file {path!r} is empty")
     try:
@@ -640,55 +798,36 @@ def read_mass_csv(path: str) -> tuple[int, np.ndarray]:
     return n, np.array(rows)
 
 
-def _spec_from_obj(obj) -> CopulaSpec:
+def _spec_from_obj(obj, depth: int = 0) -> CopulaSpec:
     if not isinstance(obj, dict):
         raise ValidationError(f"spec must be a JSON object, got {type(obj).__name__}")
+    if depth > MAX_SPEC_DEPTH:
+        raise ValidationError(f"spec nests deeper than {MAX_SPEC_DEPTH} mixture levels")
     kind = obj.get("type")
     if kind is None:
         raise ValidationError("spec is missing the 'type' field")
-    if kind not in _TYPE_FIELDS:
+    if not isinstance(kind, str) or kind not in _REGISTRY:
         raise ValidationError(
-            f"unknown spec type {kind!r}; expected one of {sorted(_TYPE_FIELDS)}"
+            f"unknown spec type {kind!r}; expected one of {sorted(_REGISTRY)}"
         )
-    extra = set(obj) - {"type"} - _TYPE_FIELDS[kind]
+    cls = _REGISTRY[kind]
+    extra = set(obj) - {"type"} - set(cls.json_fields)
     if extra:
         raise ValidationError(f"unknown field(s) for type {kind!r}: {sorted(extra)}")
-    missing = _TYPE_FIELDS[kind] - set(obj)
+    missing = set(cls.json_fields) - set(obj)
     if missing:
         raise ValidationError(f"missing field(s) for type {kind!r}: {sorted(missing)}")
-    if kind == "independence":
-        return Independence()
-    if kind == "w":
-        return HoeffdingLower()
-    if kind == "m":
-        return HoeffdingUpper()
-    if kind == "frechet":
-        return Frechet(a=_require_number(obj["a"], "a"), b=_require_number(obj["b"], "b"))
-    if kind == "mardia":
-        return Mardia(theta=_require_number(obj["theta"], "theta"))
-    if kind == "marshall-olkin":
-        return MarshallOlkin(
-            a=_require_number(obj["a"], "a"), b=_require_number(obj["b"], "b")
-        )
-    if kind == "mixture":
-        weights = obj["weights"]
-        components = obj["components"]
-        if not isinstance(weights, list) or not isinstance(components, list):
-            raise ValidationError("mixture 'weights' and 'components' must be lists")
-        return Mixture(
-            weights=tuple(_require_number(w, "weight") for w in weights),
-            components=tuple(_spec_from_obj(c) for c in components),
-        )
-    path = obj["path"]
-    if not isinstance(path, str):
-        raise ValidationError("grid 'path' must be a string")
-    n, masses = read_mass_csv(path)
-    return GridSpec(resolution=n, masses=masses, path=path)
+    return cls.from_json(obj, depth)
 
 
 def parse_spec(text: str) -> CopulaSpec:
     """Parse and validate a JSON copula spec document."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError as exc:
+        raise ValidationError(
+            f"spec nests deeper than {MAX_SPEC_DEPTH} mixture levels"
+        ) from exc
     return _spec_from_obj(obj)
 
 
@@ -697,8 +836,13 @@ def spec_to_json(spec: CopulaSpec) -> str:
 
 
 def canonical_spec_json(spec: CopulaSpec) -> str:
-    """Canonical form: sorted keys, no insignificant whitespace."""
-    return json.dumps(serialize_spec(spec), sort_keys=True, separators=(",", ":"))
+    """Canonical form: sorted keys, no insignificant whitespace.
+
+    Grid specs appear by resolution and a SHA-256 of their cell masses
+    instead of by file path.
+    """
+    _require_spec(spec)
+    return json.dumps(spec.to_json(canonical=True), sort_keys=True, separators=(",", ":"))
 
 
 def spec_digest(spec: CopulaSpec) -> str:

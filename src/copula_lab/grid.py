@@ -6,31 +6,24 @@ to 1/n). Scaling by n gives a doubly stochastic matrix D, and the fold
 product of two grids is exactly n * (D1 @ D2) / n at the mass level,
 so the Markov-operator semantics of the chain reduce to matrix algebra.
 
-Discretization uses CDF inclusion-exclusion, which is exact for every
-family including purely singular ones. Frechet members and mixtures are
-expanded linearly instead (same values mathematically, and it keeps
-cell masses float-exact where the components have closed-form grids).
+The grid type is ``families.GridSpec``, also named ``GridCopula``
+here, so every grid is also a copula spec: it can be a mixture
+component or the copula of a sampled chain. Discretizing asks the
+spec for its exact cell masses (``CopulaSpec.cell_masses``): CDF
+inclusion-exclusion by default, exact for every family including
+purely singular ones, and closed forms where a family has them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .errors import ValidationError
 from .families import (
     CopulaSpec,
-    Frechet,
     GridSpec,
-    HoeffdingLower,
-    HoeffdingUpper,
-    Independence,
-    Mardia,
     Mixture,
-    eval_cdf,
+    _require_resolution,
+    _require_spec,
     read_mass_csv,
-    validate_cell_masses,
 )
 
 __all__ = [
@@ -44,92 +37,20 @@ __all__ = [
     "read_grid_csv",
 ]
 
-WEIGHT_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class GridCopula:
-    """Cell masses of a copula on the uniform n x n grid.
-
-    ``masses[i][j]`` is the measure of (i/n, (i+1)/n] x (j/n, (j+1)/n]
-    (zero-based cells). Immutable; the mass array is read-only.
-    """
-
-    resolution: int
-    masses: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = validate_cell_masses(self.masses, self.resolution)
-        object.__setattr__(self, "masses", arr)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GridCopula)
-            and self.resolution == other.resolution
-            and np.array_equal(self.masses, other.masses)
-        )
-
-    def densities(self) -> np.ndarray:
-        """Cell densities n^2 * masses (the discrete stand-in for c(x, y))."""
-        n = self.resolution
-        return (n * n) * self.masses
-
-
-def _require_resolution(n) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValidationError(f"resolution must be an integer >= 2 (got {n!r})")
-    return n
-
-
-def _pi_masses(n: int) -> np.ndarray:
-    return np.full((n, n), 1.0 / (n * n))
-
-
-def _m_masses(n: int) -> np.ndarray:
-    return np.eye(n) / n
-
-
-def _w_masses(n: int) -> np.ndarray:
-    return np.fliplr(np.eye(n)) / n
-
-
-def _cell_masses(spec: CopulaSpec, n: int) -> np.ndarray:
-    if isinstance(spec, Independence):
-        return _pi_masses(n)
-    if isinstance(spec, HoeffdingLower):
-        return _w_masses(n)
-    if isinstance(spec, HoeffdingUpper):
-        return _m_masses(n)
-    if isinstance(spec, Mardia):
-        return _cell_masses(spec.as_frechet(), n)
-    if isinstance(spec, Frechet):
-        a, b = spec.a, spec.b
-        out = np.zeros((n, n))
-        for w, part in ((a, _w_masses), (b, _m_masses), (1.0 - a - b, _pi_masses)):
-            if w != 0.0:
-                out += w * part(n)
-        return out
-    if isinstance(spec, Mixture):
-        out = np.zeros((n, n))
-        for w, comp in zip(spec.weights, spec.components):
-            out += w * _cell_masses(comp, n)
-        return out
-    if isinstance(spec, GridSpec) and spec.resolution == n:
-        return spec.masses.copy()
-    edges = np.arange(n + 1) / n
-    cdf = eval_cdf(spec, edges[:, None], edges[None, :])
-    return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
+GridCopula = GridSpec
 
 
 def discretize(spec: CopulaSpec, n: int) -> GridCopula:
     """Project a copula spec onto the uniform n x n grid.
 
-    Cell masses come from CDF inclusion-exclusion, so singular parts are
-    captured exactly; Frechet members and mixtures expand linearly over
-    their components.
+    Cell masses are exact: singular parts are captured by CDF
+    inclusion-exclusion, and families with closed-form grids (the
+    Frechet members, mixtures of them, grids at their own resolution)
+    supply those.
     """
     n = _require_resolution(n)
-    return GridCopula(resolution=n, masses=_cell_masses(spec, n))
+    _require_spec(spec)
+    return GridCopula(resolution=n, masses=spec.cell_masses(n))
 
 
 def fold_product(g1: GridCopula, g2: GridCopula) -> GridCopula:
@@ -164,31 +85,17 @@ def fold_power(g: GridCopula, m: int) -> GridCopula:
 
 
 def mix_grids(weights, grids) -> GridCopula:
-    """Cellwise convex combination of equally sized grids."""
-    weights = [float(w) for w in weights]
-    grids = list(grids)
-    if len(grids) == 0:
-        raise ValidationError("mix_grids needs at least one grid")
-    if len(weights) != len(grids):
-        raise ValidationError(
-            f"weights and grids length mismatch ({len(weights)} vs {len(grids)})"
-        )
-    for w in weights:
-        if w <= 0.0:
-            raise ValidationError(f"weights strictly positive violated (got {w})")
-    total = sum(weights)
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValidationError(f"weights sum to 1 violated (got {total!r})")
-    n = grids[0].resolution
-    for g in grids[1:]:
+    """Cellwise convex combination of equally sized grids.
+
+    The weights and grids are validated as a :class:`Mixture`, whose
+    cell masses at the common resolution are the combination.
+    """
+    mix = Mixture(weights=tuple(weights), components=tuple(grids))
+    n = mix.components[0].resolution
+    for g in mix.components[1:]:
         if g.resolution != n:
-            raise ValidationError(
-                f"resolution mismatch: {n} vs {g.resolution}"
-            )
-    out = np.zeros((n, n))
-    for w, g in zip(weights, grids):
-        out += w * g.masses
-    return GridCopula(resolution=n, masses=out)
+            raise ValidationError(f"resolution mismatch: {n} vs {g.resolution}")
+    return GridCopula(resolution=n, masses=mix.cell_masses(n))
 
 
 def coarsen(g: GridCopula, factor: int) -> GridCopula:

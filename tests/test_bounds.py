@@ -284,6 +284,44 @@ def test_rate_table_mixture_decays():
         assert v <= 0.9**j + 1e-12
 
 
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (Frechet(a=0.05, b=0.05), 16),
+        (Frechet(a=0.05, b=0.05), 64),
+        (Frechet(a=0.05, b=0.05), 256),
+        (Mixture(weights=(0.7, 0.3), components=(PI, Frechet(a=0.2, b=0.3))), 64),
+        (Mixture(weights=(0.7, 0.3), components=(PI, Frechet(a=0.2, b=0.3))), 256),
+    ],
+)
+def test_rate_table_ignores_rows_at_the_rounding_floor(spec, n):
+    # Fast-mixing chains reach 1 - psi_prime ~ 1e-16 noise by lag 20;
+    # quotients of that noise (inf, or 1.08-1.33) must not decide.
+    table = exponential_rate_table(spec, 1, n, 20)
+    values = [v for _, v in table.rows]
+    assert len(values) == 20
+    assert min(values) <= 1e-9
+    assert table.satisfied
+    assert table.ratio < 0.31
+
+
+def test_rate_table_floor_keeps_the_geometric_ratio():
+    table = exponential_rate_table(Frechet(a=0.2, b=0.1), 1, 64, 20)
+    assert table.satisfied
+    assert abs(table.ratio - 0.3) < 1e-6
+
+
+def test_rate_table_converged_row_then_rise_is_infinite(monkeypatch):
+    from copula_lab import bounds
+
+    rows = iter([0.5, 0.5, 1.0, 0.7])  # psi_prime at the check and lags 1..3
+    monkeypatch.setattr(bounds, "psi_prime", lambda g: next(rows))
+    table = exponential_rate_table(Frechet(a=0.2, b=0.3), 1, 4, 3)
+    assert [v for _, v in table.rows] == [0.5, 0.0, 0.30000000000000004]
+    assert table.ratio == math.inf
+    assert not table.satisfied
+
+
 def test_rate_table_respects_base_lag_stride():
     table = exponential_rate_table(Frechet(a=0.2, b=0.3), 2, 16, 7)
     assert [lag for lag, _ in table.rows] == [2, 4, 6]

@@ -309,6 +309,18 @@ def test_simulate_bad_marginal_is_validation_error(tmp_path, frechet_file, capsy
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("marginal", ["exp:nan", "normal:nan,1", "normal:0,inf", "exp:inf"])
+def test_simulate_non_finite_marginal_is_validation_error(tmp_path, frechet_file, capsys, marginal):
+    out = tmp_path / "c.csv"
+    code = run(
+        ["simulate", "--spec", frechet_file, "--steps", "10", "--seed", "1",
+         "--marginal", marginal, "--out", str(out)]
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    assert not out.exists()
+
+
 # --- psi-divergence -------------------------------------------------------------------
 
 def test_psi_divergence_subcommand(tmp_path):
@@ -362,6 +374,70 @@ def test_invalid_spec_parameters_is_validation_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation"
     assert "a + b <= 1 violated" in err["message"]
+
+
+def _assert_validation_error(capsys, argv):
+    assert run(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+def test_non_ascii_spec_is_validation_error(tmp_path, capsys):
+    p = tmp_path / "spec.json"
+    p.write_bytes('{"type": "frechet", "a": 0.2, "b": 0.3, "note": "é"}'.encode("utf-8"))
+    _assert_validation_error(capsys, ["discretize", "--spec", str(p), "--n", "4",
+                                      "--out", str(tmp_path / "g.csv")])
+
+
+def test_non_ascii_grid_csv_is_validation_error(tmp_path, capsys):
+    grid = tmp_path / "g.csv"
+    grid.write_bytes(b"2\n0.25,0.25\n0.25,0.25\xff\n")
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps({"type": "grid", "path": str(grid)}))
+    _assert_validation_error(capsys, ["discretize", "--spec", str(spec), "--n", "4",
+                                      "--out", str(tmp_path / "o.csv")])
+
+
+def test_non_ascii_chain_file_is_validation_error(tmp_path, capsys):
+    chain = tmp_path / "chain.csv"
+    chain.write_bytes(b"0.5\n0.25\xc3\xa9\n0.75\n")
+    _assert_validation_error(capsys, ["lagstats", "--in", str(chain), "--lag", "1",
+                                      "--out", str(tmp_path / "s.json")])
+
+
+@pytest.mark.parametrize("depth", [600, 2000])
+def test_deeply_nested_mixture_is_validation_error(tmp_path, capsys, depth):
+    text = '{"type": "m"}'
+    for _ in range(depth):
+        text = '{"type": "mixture", "weights": [1.0], "components": [' + text + "]}"
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    _assert_validation_error(capsys, ["discretize", "--spec", str(p), "--n", "4",
+                                      "--out", str(tmp_path / "g.csv")])
+
+
+def test_grid_spec_digest_changes_with_csv_content(tmp_path):
+    grid = tmp_path / "g.csv"
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps({"type": "grid", "path": str(grid)}))
+    digests = []
+    for masses in ([[0.3, 0.2], [0.2, 0.3]], [[0.2, 0.3], [0.3, 0.2]]):
+        grid.write_text("2\n" + "\n".join(",".join(map(str, row)) for row in masses) + "\n")
+        out = str(tmp_path / "o.csv")
+        assert run(["discretize", "--spec", str(spec), "--n", "4", "--out", out]) == 0
+        digests.append(json.loads((tmp_path / "o.csv.manifest.json").read_text())["spec_digest"])
+    assert digests[0] != digests[1]
+
+
+def test_exponential_rate_past_the_rounding_floor_exits_zero(tmp_path, capsys):
+    p = tmp_path / "fast.json"
+    p.write_text('{"type": "frechet", "a": 0.05, "b": 0.05}')
+    code = run(["verify", "--theorem", "exponential-rate", "--spec", str(p),
+                "--n", "64", "--max-lag", "20"])
+    assert code == 0
+    res = json.loads(capsys.readouterr().out)[0]
+    assert res["satisfied"] is True
+    assert abs(res["measured"] - 0.1) < 1e-6
+    assert len(res["witness"]["rows"]) == 20
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

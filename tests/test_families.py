@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from copula_lab import (
     ON_SINGULAR,
+    CopulaSpec,
     Frechet,
     GridSpec,
     HoeffdingLower,
@@ -19,15 +20,19 @@ from copula_lab import (
     ValidationError,
     canonical_spec_json,
     conditional_cdf,
+    discretize,
     eval_ac_density,
     eval_cdf,
     frechet_fold_params,
     parse_spec,
+    sample_chain,
+    serialize_spec,
     spec_digest,
     spec_to_json,
     write_grid_csv,
 )
-from copula_lab.grid import discretize
+from copula_lab.families import MAX_SPEC_DEPTH, _REGISTRY
+from copula_lab.grid import GridCopula
 
 
 def unit_floats():
@@ -52,7 +57,9 @@ SMOOTH_SPECS = [
         components=(Frechet(a=0.1, b=0.2), MarshallOlkin(a=0.7, b=0.2)),
     ),
 ]
-ALL_SPECS = SMOOTH_SPECS + [HoeffdingLower(), HoeffdingUpper()]
+# A grid is a copula spec too: the discretized Marshall-Olkin copula.
+GRID_SPEC = discretize(MarshallOlkin(a=0.3, b=0.6), 4)
+ALL_SPECS = SMOOTH_SPECS + [HoeffdingLower(), HoeffdingUpper(), GRID_SPEC]
 
 
 # --- cdf -------------------------------------------------------------------
@@ -380,7 +387,9 @@ def test_grid_spec_clamps_tiny_negative_dust():
 
 # --- serialization ---------------------------------------------------------
 
-ROUND_TRIP_SPECS = ALL_SPECS + [
+# In-memory grids have no path to serialize; the protocol tests below
+# round-trip a grid loaded from a file.
+ROUND_TRIP_SPECS = SMOOTH_SPECS + [HoeffdingLower(), HoeffdingUpper()] + [
     Mixture(
         weights=(0.2, 0.3, 0.5),
         components=(HoeffdingLower(), HoeffdingUpper(), Independence()),
@@ -463,3 +472,98 @@ def test_discretize_accepts_every_family():
     for spec in ALL_SPECS:
         g = discretize(spec, 8)
         assert g.resolution == 8
+
+
+def test_parse_spec_rejects_non_string_type():
+    with pytest.raises(ValidationError, match="type"):
+        parse_spec('{"type": ["frechet"]}')
+
+
+def _nested_mixture_json(depth: int) -> str:
+    text = '{"type": "independence"}'
+    for _ in range(depth):
+        text = '{"type": "mixture", "weights": [1.0], "components": [' + text + "]}"
+    return text
+
+
+def test_parse_spec_nesting_cap():
+    spec = parse_spec(_nested_mixture_json(MAX_SPEC_DEPTH))
+    assert eval_cdf(spec, 0.5, 0.5) == 0.25
+    for depth in (MAX_SPEC_DEPTH + 1, 600, 2000):
+        with pytest.raises(ValidationError, match="nests deeper"):
+            parse_spec(_nested_mixture_json(depth))
+
+
+# --- the family protocol, over every registered type ---------------------------
+
+def _grid_file_spec(tmp_path) -> GridSpec:
+    path = tmp_path / "g.csv"
+    write_grid_csv(discretize(Frechet(a=0.1, b=0.6), 4), str(path))
+    return parse_spec(json.dumps({"type": "grid", "path": str(path)}))
+
+
+PROTOCOL_EXAMPLES = {
+    "independence": lambda tmp: Independence(),
+    "w": lambda tmp: HoeffdingLower(),
+    "m": lambda tmp: HoeffdingUpper(),
+    "frechet": lambda tmp: Frechet(a=0.2, b=0.3),
+    "mardia": lambda tmp: Mardia(theta=-0.4),
+    "marshall-olkin": lambda tmp: MarshallOlkin(a=0.3, b=0.6),
+    "mixture": lambda tmp: Mixture(
+        weights=(0.5, 0.25, 0.25),
+        components=(Mardia(theta=0.6), MarshallOlkin(a=0.5, b=0.5), _grid_file_spec(tmp)),
+    ),
+    "grid": _grid_file_spec,
+}
+
+
+def test_protocol_examples_cover_the_registry():
+    assert set(PROTOCOL_EXAMPLES) == set(_REGISTRY)
+
+
+@pytest.mark.parametrize("type_name", sorted(PROTOCOL_EXAMPLES))
+def test_protocol_round_trip(type_name, tmp_path):
+    spec = PROTOCOL_EXAMPLES[type_name](tmp_path)
+    assert type(spec) is _REGISTRY[type_name]
+    assert serialize_spec(spec)["type"] == type_name
+    back = parse_spec(spec_to_json(spec))
+    assert back == spec
+    assert spec_digest(back) == spec_digest(spec)
+
+
+@pytest.mark.parametrize("type_name", sorted(PROTOCOL_EXAMPLES))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_protocol_cell_masses_match_inclusion_exclusion(type_name, n, tmp_path):
+    spec = PROTOCOL_EXAMPLES[type_name](tmp_path)
+    exact = spec.cell_masses(n)
+    generic = CopulaSpec.cell_masses(spec, n)
+    assert exact.shape == (n, n)
+    assert np.abs(exact - generic).max() <= 1e-15
+
+
+def test_grid_copula_is_grid_spec():
+    assert GridCopula is GridSpec
+    g = discretize(Frechet(a=0.2, b=0.3), 4)
+    assert isinstance(g, GridSpec) and g.path is None
+
+
+def test_discretized_grid_is_a_spec():
+    g = discretize(MarshallOlkin(a=0.3, b=0.6), 8)
+    mix = Mixture(weights=(0.5, 0.5), components=(g, Independence()))
+    expect = 0.5 * g.masses + 0.5 * discretize(Independence(), 8).masses
+    assert np.array_equal(discretize(mix, 8).masses, expect)
+    chain = sample_chain(g, 500, 3)
+    cells = np.ceil(chain.values * 8).astype(int) - 1
+    assert (g.masses[cells[:-1], cells[1:]] > 0.0).all()
+
+
+def test_grid_digest_follows_the_csv_content(tmp_path):
+    path = tmp_path / "g.csv"
+    write_grid_csv(discretize(Frechet(a=0.2, b=0.3), 4), str(path))
+    text = json.dumps({"type": "grid", "path": str(path)})
+    before = spec_digest(parse_spec(text))
+    write_grid_csv(discretize(Frechet(a=0.3, b=0.2), 4), str(path))
+    after = parse_spec(text)
+    assert serialize_spec(after) == {"type": "grid", "path": str(path)}
+    assert spec_digest(after) != before
+    assert spec_digest(after) == spec_digest(discretize(Frechet(a=0.3, b=0.2), 4))
