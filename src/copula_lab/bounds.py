@@ -37,7 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .families import CopulaSpec, Frechet, Mixture, _require_spec, frechet_fold_params
+from .families import (
+    CopulaSpec,
+    Frechet,
+    Mixture,
+    _require_int,
+    _require_spec,
+    frechet_fold_params,
+)
 from .grid import GridCopula, discretize, fold_power, fold_product, mix_grids
 from .coefficients import beta, phi, psi, psi_prime, rho
 
@@ -97,12 +104,6 @@ class BoundCheckResult:
         return self.satisfied or self.not_applicable
 
 
-def _require_positive_int(value, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValidationError(f"{name} must be a positive integer (got {value!r})")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Density lower bound
 
@@ -126,7 +127,7 @@ def verify_density_bound(spec: CopulaSpec, m: int, n: int) -> BoundCheckResult:
     family, cell minimum for grid inputs). c <= 0 means the hypothesis
     fails and the result is flagged not-applicable.
     """
-    m = _require_positive_int(m, "m")
+    m = _require_int(m, "m")
     c = min_ac_density(spec)
     if c <= 0.0:
         return BoundCheckResult(
@@ -169,19 +170,20 @@ def _component_grids(components, n: int) -> list[GridCopula]:
     return [discretize(comp, n) for comp in components]
 
 
-def _iter_tuple_products(mats: list[np.ndarray], m: int):
-    """Yield (index tuple, raw matrix product) in lexicographic order.
+def _iter_tuple_products(weights, mats: list[np.ndarray], m: int):
+    """Yield (index tuple, weight product, raw matrix product) in
+    lexicographic order.
 
     Products are of raw mass matrices; the caller scales by n^(m-1) to
     obtain grid masses. Prefix products are shared across the k^m leaves.
     """
     if m == 1:
-        for i, mat in enumerate(mats):
-            yield (i,), mat
+        for i, (w, mat) in enumerate(zip(weights, mats)):
+            yield (i,), w, mat
         return
-    for prefix_idx, prefix in _iter_tuple_products(mats, m - 1):
-        for i, mat in enumerate(mats):
-            yield prefix_idx + (i,), prefix @ mat
+    for prefix_idx, prefix_w, prefix in _iter_tuple_products(weights, mats, m - 1):
+        for i, (w, mat) in enumerate(zip(weights, mats)):
+            yield prefix_idx + (i,), prefix_w * w, prefix @ mat
 
 
 def _check_tuple_budget(k: int, m: int, n: int) -> None:
@@ -203,7 +205,7 @@ def tuple_decomposition_check(weights, components, m: int, n: int) -> BoundCheck
     cellwise within 1e-10. A single-component "mixture" is allowed and
     degenerates to an exact identity.
     """
-    m = _require_positive_int(m, "m")
+    m = _require_int(m, "m")
     spec = Mixture(weights=tuple(weights), components=tuple(components))
     k = len(spec.components)
     _check_tuple_budget(k, m, n)
@@ -213,10 +215,7 @@ def tuple_decomposition_check(weights, components, m: int, n: int) -> BoundCheck
     mats = [g.masses for g in grids]
     acc = np.zeros_like(left)
     count = 0
-    for idx, raw in _iter_tuple_products(mats, m):
-        w = 1.0
-        for i in idx:
-            w *= spec.weights[i]
+    for _, w, raw in _iter_tuple_products(spec.weights, mats, m):
         acc += w * raw
         count += 1
     right = float(n) ** (m - 1) * acc
@@ -236,29 +235,20 @@ def tuple_decomposition_check(weights, components, m: int, n: int) -> BoundCheck
 # ---------------------------------------------------------------------------
 # Mixture coefficient bounds
 
-_MIXTURE_THEOREMS = {
-    "rho": "mixture-rho",
-    "psi_prime": "mixture-psi-prime",
-    "phi": "mixture-phi",
-    "beta": "mixture-beta",
+# coefficient -> (theorem id, tuple bound from the tuple's weight product
+# w and coefficient v, whether a larger bound is the better one). A
+# larger-is-better bound is vacuous at <= 0, the others at >= 1.
+MIXTURE_RULES = {
+    "rho": ("mixture-rho", lambda w, v: 1.0 - (1.0 - v) * w, False),
+    "psi_prime": ("mixture-psi-prime", lambda w, v: w * v, True),
+    "phi": ("mixture-phi", lambda w, v: w * (v - 1.0) + 1.0, False),
+    "beta": ("mixture-beta", lambda w, v: w * (v - 1.0) + 1.0, False),
 }
 
+# The coefficient functions stay in a plain name -> function dict rather
+# than in the MIXTURE_RULES tuples: perfbench's tracer wraps functions it
+# finds bound in module-level dicts.
 _COEFF_FUNCS = {"rho": rho, "psi_prime": psi_prime, "phi": phi, "beta": beta}
-
-
-def _tuple_bound(coefficient: str, weight: float, value: float) -> float:
-    if coefficient == "rho":
-        return 1.0 - (1.0 - value) * weight
-    if coefficient == "psi_prime":
-        return weight * value
-    # phi and beta share the contraction form.
-    return weight * (value - 1.0) + 1.0
-
-
-def _vacuous(coefficient: str, bound: float) -> bool:
-    if coefficient == "psi_prime":
-        return bound <= 0.0
-    return bound >= 1.0
 
 
 def verify_mixture_bound(
@@ -289,14 +279,14 @@ def verify_mixture_bound(
     ``constant_tuples_only`` restricts the search to tuples (i, ..., i);
     the general search can only improve on it.
     """
-    m = _require_positive_int(m, "m")
-    if coefficient not in _MIXTURE_THEOREMS:
+    m = _require_int(m, "m")
+    if coefficient not in MIXTURE_RULES:
         raise ValidationError(
             f"unknown coefficient {coefficient!r}; expected one of "
-            f"{sorted(_MIXTURE_THEOREMS)}"
+            f"{sorted(MIXTURE_RULES)}"
         )
     spec = Mixture(weights=tuple(weights), components=tuple(components))
-    theorem_id = _MIXTURE_THEOREMS[coefficient]
+    theorem_id, tuple_bound, want_max = MIXTURE_RULES[coefficient]
     k = len(spec.components)
     _check_tuple_budget(k, m, n)
     grids = _component_grids(spec.components, n)
@@ -322,21 +312,17 @@ def verify_mixture_bound(
         )
 
     coeff_fn = _COEFF_FUNCS[coefficient]
-    want_max = coefficient == "psi_prime"
     mats = [g.masses for g in grids]
     scale = float(n) ** (m - 1)
     best_bound = None
     best_idx = None
     best_value = None
-    for idx, raw in _iter_tuple_products(mats, m):
+    for idx, w, raw in _iter_tuple_products(spec.weights, mats, m):
         if constant_tuples_only and any(i != idx[0] for i in idx):
             continue
-        w = 1.0
-        for i in idx:
-            w *= spec.weights[i]
         tuple_grid = GridCopula(resolution=n, masses=scale * raw)
         value = coeff_fn(tuple_grid)
-        bound = _tuple_bound(coefficient, w, value)
+        bound = tuple_bound(w, value)
         better = best_bound is None or (
             bound > best_bound if want_max else bound < best_bound
         )
@@ -344,7 +330,8 @@ def verify_mixture_bound(
             best_bound, best_idx, best_value = bound, idx, value
 
     assert best_bound is not None and best_idx is not None
-    if _vacuous(coefficient, best_bound):
+    vacuous = best_bound <= 0.0 if want_max else best_bound >= 1.0
+    if vacuous:
         return BoundCheckResult(
             theorem_id=theorem_id,
             m=m,
@@ -408,8 +395,8 @@ def exponential_rate_table(
     Requires psi_prime > 0 at lag m on the grid (otherwise the
     hypothesis fails and the table is flagged not-applicable).
     """
-    m = _require_positive_int(m, "m")
-    max_lag = _require_positive_int(max_lag, "max_lag")
+    m = _require_int(m, "m")
+    max_lag = _require_int(max_lag, "max_lag")
     if max_lag < m:
         raise ValidationError(f"max_lag {max_lag} is below the base lag m = {m}")
     base = discretize(spec, n)
@@ -479,9 +466,7 @@ def psi_divergence_table(a: float, b: float, lags, epsilons) -> PsiDivergenceTab
     flags the table not-applicable.
     """
     Frechet(a, b)  # parameter validation
-    lags = [
-        _require_positive_int(lag, "lag") for lag in lags
-    ]
+    lags = [_require_int(lag, "lag") for lag in lags]
     if not lags:
         raise ValidationError("lags must be nonempty")
     epsilons = [float(e) for e in epsilons]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .families import CopulaSpec, _require_spec
+from .families import CopulaSpec, _require_int, _require_spec
 
 __all__ = [
     "Marginal",
@@ -37,6 +37,21 @@ __all__ = [
 LATTICE = float(2**53)
 
 
+def _normal_quantile(u: np.ndarray, mu: float, sigma: float) -> np.ndarray:
+    dist = statistics.NormalDist(mu, sigma)
+    return np.fromiter((dist.inv_cdf(t) for t in u), float, count=u.size)
+
+
+# kind -> (parameter names, quantile(u, *params) on a float array). Every
+# parameterized kind needs its last parameter (rate, sigma) positive.
+_MARGINALS = {
+    "uniform": ((), lambda u: u.copy()),
+    "exp": (("rate",), lambda u, rate: -np.log1p(-u) / rate),
+    "normal": (("mu", "sigma"), _normal_quantile),
+}
+_USAGE = "uniform, exp:<rate> or normal:<mu>,<sigma> with finite rate, sigma > 0"
+
+
 @dataclass(frozen=True)
 class Marginal:
     """Marginal distribution given by its quantile function.
@@ -48,76 +63,37 @@ class Marginal:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(p) for p in self.params):
+        if self.kind not in _MARGINALS:
+            raise ValidationError(f"unknown marginal {self.kind!r}; expected {_USAGE}")
+        names = _MARGINALS[self.kind][0]
+        if (
+            not all(math.isfinite(p) for p in self.params)
+            or len(self.params) != len(names)
+            or (names and self.params[-1] <= 0.0)
+        ):
             raise ValidationError(
-                f"{self.kind} marginal parameters must be finite (got {self.params!r})"
-            )
-        if self.kind == "uniform":
-            if self.params:
-                raise ValidationError("uniform marginal takes no parameters")
-        elif self.kind == "exp":
-            if len(self.params) != 1 or self.params[0] <= 0.0:
-                raise ValidationError(
-                    f"exp marginal needs one positive rate (got {self.params!r})"
-                )
-        elif self.kind == "normal":
-            if len(self.params) != 2 or self.params[1] <= 0.0:
-                raise ValidationError(
-                    f"normal marginal needs (mu, sigma > 0) (got {self.params!r})"
-                )
-        else:
-            raise ValidationError(
-                f"unknown marginal {self.kind!r}; expected uniform, exp or normal"
+                f"bad {self.kind} marginal parameters {self.params!r}; expected {_USAGE}"
             )
 
     @classmethod
     def parse(cls, descriptor: str) -> "Marginal":
-        text = descriptor.strip()
-        if text == "uniform":
-            return cls(kind="uniform")
-        if text.startswith("exp:"):
-            try:
-                rate = float(text[4:])
-            except ValueError as exc:
-                raise ValidationError(
-                    f"bad exp marginal descriptor {descriptor!r}"
-                ) from exc
-            return cls(kind="exp", params=(rate,))
-        if text.startswith("normal:"):
-            parts = text[len("normal:"):].split(",")
-            if len(parts) != 2:
-                raise ValidationError(
-                    f"bad normal marginal descriptor {descriptor!r}; "
-                    "expected normal:<mu>,<sigma>"
-                )
-            try:
-                mu, sigma = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ValidationError(
-                    f"bad normal marginal descriptor {descriptor!r}"
-                ) from exc
-            return cls(kind="normal", params=(mu, sigma))
-        raise ValidationError(
-            f"unknown marginal descriptor {descriptor!r}; "
-            "expected uniform, exp:<rate> or normal:<mu>,<sigma>"
-        )
+        kind, colon, rest = descriptor.strip().partition(":")
+        try:
+            params = tuple(float(p) for p in rest.split(",")) if colon else ()
+        except ValueError as exc:
+            raise ValidationError(
+                f"bad marginal descriptor {descriptor!r}; expected {_USAGE}"
+            ) from exc
+        return cls(kind=kind, params=params)
 
     def describe(self) -> str:
-        if self.kind == "uniform":
-            return "uniform"
-        if self.kind == "exp":
-            return f"exp:{self.params[0]:.17g}"
-        return f"normal:{self.params[0]:.17g},{self.params[1]:.17g}"
+        if not self.params:
+            return self.kind
+        return self.kind + ":" + ",".join(f"{p:.17g}" for p in self.params)
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Apply the (strictly increasing) quantile function elementwise."""
-        if self.kind == "uniform":
-            return np.asarray(u, dtype=float).copy()
-        if self.kind == "exp":
-            return -np.log1p(-np.asarray(u, dtype=float)) / self.params[0]
-        dist = statistics.NormalDist(self.params[0], self.params[1])
-        arr = np.asarray(u, dtype=float)
-        return np.fromiter((dist.inv_cdf(t) for t in arr), float, count=arr.size)
+        return _MARGINALS[self.kind][1](np.asarray(u, dtype=float), *self.params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +113,8 @@ class ChainSample:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValidationError("a chain sample needs at least 2 values")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("chain values must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -152,9 +130,8 @@ def sample_chain(
     uniform path is transformed through the marginal quantile at the
     end, so one seed yields coupled chains across marginals.
     """
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        raise ValidationError(f"steps must be an integer >= 2 (got {steps!r})")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+    _require_int(steps, "steps", 2)
+    if _require_int(seed, "seed", 0) >= 2**64:
         raise ValidationError(f"seed must be a 64-bit unsigned integer (got {seed!r})")
     _require_spec(spec)
     if isinstance(marginal, str):
@@ -216,13 +193,12 @@ def empirical_lag_stats(
 
     Non-uniform marginals are rank-transformed to pseudo-uniforms before
     comparison and binning (``use_ranks`` defaults to exactly that rule;
-    pass True/False to force). Bit-exact comparisons are meaningful
-    because the sampler copies and reflects exactly.
+    pass True/False to force); without ranks every value must lie in
+    [0, 1]. Bit-exact comparisons are meaningful because the sampler
+    copies and reflects exactly.
     """
-    if not isinstance(lag, int) or isinstance(lag, bool) or lag < 1:
-        raise ValidationError(f"lag must be a positive integer (got {lag!r})")
-    if not isinstance(grid_n, int) or isinstance(grid_n, bool) or grid_n < 2:
-        raise ValidationError(f"grid_n must be an integer >= 2 (got {grid_n!r})")
+    _require_int(lag, "lag")
+    _require_int(grid_n, "grid_n", 2)
     values = sample.values
     if lag >= values.size:
         raise ValidationError(
@@ -230,6 +206,8 @@ def empirical_lag_stats(
         )
     if use_ranks is None:
         use_ranks = sample.marginal.kind != "uniform"
+    if not use_ranks and not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValidationError("chain values must lie in [0, 1] unless rank-transformed")
     work = _pseudo_uniform(values) if use_ranks else values
     x = work[:-lag]
     y = work[lag:]

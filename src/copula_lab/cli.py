@@ -3,8 +3,8 @@
 Subcommands: discretize, coeffs, verify, simulate, lagstats,
 psi-divergence. Every file-producing run writes a manifest JSON next to
 the output (``<out>.manifest.json``) recording the subcommand, a
-content digest of the spec, the parameters, the tool version and the
-output paths, so results can be traced back to their inputs.
+content digest of the spec, every parsed parameter, the tool version
+and the output paths, so results can be traced back to their inputs.
 
 Exit codes: 0 success (and every checked bound satisfied or not
 applicable), 1 at least one bound unsatisfied, 2 usage or validation
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    MIXTURE_RULES,
     BoundCheckResult,
     THEOREM_IDS,
     exponential_rate_table,
@@ -103,15 +104,21 @@ def _write_json(path: str, obj) -> None:
     )
 
 
-def _write_manifest(out: str, subcommand: str, digest: str, parameters: dict) -> None:
+def _write_manifest(args, digest: str) -> None:
+    """Write ``<out>.manifest.json``; it records every parsed argument."""
+    parameters = {
+        "in" if key == "infile" else key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "handler", "out")
+    }
     _write_json(
-        out + ".manifest.json",
+        args.out + ".manifest.json",
         {
-            "subcommand": subcommand,
+            "subcommand": args.command,
             "spec_digest": digest,
             "parameters": parameters,
             "tool_version": __version__,
-            "outputs": [out],
+            "outputs": [args.out],
         },
     )
 
@@ -151,9 +158,7 @@ def _cmd_discretize(args) -> int:
     spec = _load_spec(args.spec)
     g = discretize(spec, args.n)
     write_grid_csv(g, args.out)
-    _write_manifest(
-        args.out, "discretize", spec_digest(spec), {"spec": args.spec, "n": args.n}
-    )
+    _write_manifest(args, spec_digest(spec))
     return 0
 
 
@@ -168,21 +173,12 @@ def _cmd_coeffs(args) -> int:
             f"{row.psi_prime:.17g},{row.psi:.17g},{rep.resolution}"
         )
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
-    _write_manifest(
-        args.out,
-        "coeffs",
-        spec_digest(spec),
-        {"spec": args.spec, "n": args.n, "lags": args.lags},
-    )
+    _write_manifest(args, spec_digest(spec))
     return 0
 
 
-_MIXTURE_COEFF = {
-    "mixture-rho": "rho",
-    "mixture-psi-prime": "psi_prime",
-    "mixture-phi": "phi",
-    "mixture-beta": "beta",
-}
+# theorem id -> coefficient of the mixture bound checks
+_MIXTURE_COEFF = {theorem: coeff for coeff, (theorem, _, _) in MIXTURE_RULES.items()}
 
 
 def _dispatch_verify(args, spec: CopulaSpec) -> list[BoundCheckResult]:
@@ -262,17 +258,7 @@ def _cmd_verify(args) -> int:
     payload = [_result_dict(r) for r in results]
     if args.out:
         _write_json(args.out, payload)
-        _write_manifest(
-            args.out,
-            "verify",
-            spec_digest(spec),
-            {
-                "spec": args.spec,
-                "theorem": args.theorem,
-                "m": args.m,
-                "n": args.n,
-            },
-        )
+        _write_manifest(args, spec_digest(spec))
     else:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if all(r.passed for r in results) else 1
@@ -283,17 +269,7 @@ def _cmd_simulate(args) -> int:
     sample = sample_chain(spec, args.steps, args.seed, args.marginal)
     lines = [format(v, ".17g") for v in sample.values]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
-    _write_manifest(
-        args.out,
-        "simulate",
-        spec_digest(spec),
-        {
-            "spec": args.spec,
-            "steps": args.steps,
-            "seed": args.seed,
-            "marginal": args.marginal,
-        },
-    )
+    _write_manifest(args, spec_digest(spec))
     return 0
 
 
@@ -327,17 +303,7 @@ def _cmd_lagstats(args) -> int:
         "counts": stats.counts.tolist(),
     }
     _write_json(args.out, payload)
-    _write_manifest(
-        args.out,
-        "lagstats",
-        hashlib.sha256(data).hexdigest(),
-        {
-            "in": args.infile,
-            "lag": args.lag,
-            "grid_n": args.grid_n,
-            "ranks": args.ranks,
-        },
-    )
+    _write_manifest(args, hashlib.sha256(data).hexdigest())
     return 0
 
 
@@ -361,12 +327,7 @@ def _cmd_psi_divergence(args) -> int:
         "diverges": table.diverges,
     }
     _write_json(args.out, payload)
-    _write_manifest(
-        args.out,
-        "psi-divergence",
-        spec_digest(Frechet(args.a, args.b)),
-        {"a": args.a, "b": args.b, "lags": args.lags, "eps_list": args.eps_list},
-    )
+    _write_manifest(args, spec_digest(Frechet(args.a, args.b)))
     return 0 if table.satisfied or table.not_applicable else 1
 
 

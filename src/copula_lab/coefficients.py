@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .families import CopulaSpec
+from .families import CopulaSpec, _require_int
 from .grid import GridCopula, discretize, fold_product
 
 __all__ = [
@@ -286,8 +286,7 @@ def report(spec: CopulaSpec, n: int, lags) -> MixingReport:
     if not lags:
         raise ValidationError("lags must be nonempty")
     for lag in lags:
-        if not isinstance(lag, int) or isinstance(lag, bool) or lag < 1:
-            raise ValidationError(f"lags must be positive integers (got {lag!r})")
+        _require_int(lag, "lag")
     if any(b <= a for a, b in zip(lags, lags[1:])):
         raise ValidationError(f"lags must be strictly ascending (got {lags})")
     base = discretize(spec, n)

@@ -21,9 +21,8 @@ Every family derives from :class:`CopulaSpec` and implements
                                 for every family, and families with a
                                 closed form override it
 * ``step(x, decision, value)``  one chain step from state x, given the two
-                                Philox words of the step; the default
-                                bisects ``cond_cdf`` at the value word,
-                                families with an exact sampler override it
+                                Philox words of the step; every family
+                                samples exactly and there is no default
 * ``to_json(canonical)``        the JSON form; the default writes
                                 ``type_name`` and the ``json_fields``
 
@@ -113,10 +112,10 @@ def _require_number(value, name: str) -> float:
     return v
 
 
-def _require_resolution(n) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValidationError(f"resolution must be an integer >= 2 (got {n!r})")
-    return n
+def _require_int(value, name: str, minimum: int = 1) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum} (got {value!r})")
+    return value
 
 
 def _require_spec(spec) -> None:
@@ -143,25 +142,6 @@ class CopulaSpec:
         edges = np.arange(n + 1) / n
         cdf = self.cdf(edges[:, None], edges[None, :])
         return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
-
-    def step(self, x: float, decision: float, value: float) -> float:
-        """Smallest y with cond_cdf(x, y) >= value, to within 1e-12.
-
-        Bisection on the nondecreasing right-continuous conditional; an
-        atom (a jump crossing value) is handled by interval inclusion, as
-        the bracket converges onto the jump point. 0-d arrays keep
-        numpy's pow kernel, which can differ from Python's float pow by
-        an ulp. Families with an exact sampler override this.
-        """
-        xa = np.asarray(x, dtype=float)
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if self.cond_cdf(xa, np.asarray(mid, dtype=float)) >= value:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     def to_json(self, canonical: bool = False) -> dict:
         """JSON-ready dict; ``canonical`` asks for the form digests hash."""
@@ -404,6 +384,24 @@ class MarshallOlkin(CopulaSpec):
             candidates.append(1.0 - self.b)
         return min(candidates) if candidates else 1.0
 
+    def step(self, x: float, decision: float, value: float) -> float:
+        # Closed-form inverse of cond_cdf (Nelsen's conditional method):
+        # the linear branch below the atom at y* = x^(b/a), the atom, then
+        # y^(1-a) above it. Rounding up onto the k/2^53 lattice, to at
+        # least 2^-53, keeps 1 - y exact, as for every other sampler.
+        a, b = self.a, self.b
+        if a == 0.0:
+            return value
+        atom = x ** (b / a)
+        xb = x**b
+        if b < 1.0 and value * xb <= (1.0 - b) * atom:
+            y = value * xb / (1.0 - b)
+        elif a == 1.0 or value <= atom ** (1.0 - a):
+            y = atom
+        else:
+            y = value ** (1.0 / (1.0 - a))
+        return max(math.ceil(y * 2.0**53), 1) / 2.0**53
+
 
 @dataclass(frozen=True)
 class Mixture(CopulaSpec):
@@ -529,7 +527,7 @@ class GridSpec(CopulaSpec):
     json_fields = ("path",)
 
     def __post_init__(self) -> None:
-        n = _require_resolution(self.resolution)
+        n = _require_int(self.resolution, "resolution", 2)
         arr = np.array(self.masses, dtype=float)
         if arr.shape != (n, n):
             raise ValidationError(f"mass matrix shape {arr.shape} does not match n={n}")
@@ -704,8 +702,7 @@ class FrechetParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValidationError(f"lag n must be a positive integer (got {self.n!r})")
+        _require_int(self.n, "lag n")
         if self.a_n < 0.0 or self.b_n < 0.0:
             raise ValidationError(
                 f"a_n, b_n >= 0 violated (got {self.a_n!r}, {self.b_n!r})"
@@ -724,8 +721,7 @@ def frechet_fold_params(a: float, b: float, n: int) -> FrechetParams:
     b_{k+1} = a*a_k + b*b_k; in particular a_n + b_n = (a+b)^n.
     """
     Frechet(a, b)  # parameter validation
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"lag n must be a positive integer (got {n!r})")
+    _require_int(n, "lag n")
     s = (a + b) ** n
     d = (b - a) ** n
     a_n = max(0.0, (s - d) / 2.0)

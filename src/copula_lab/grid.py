@@ -21,7 +21,7 @@ from .families import (
     CopulaSpec,
     GridSpec,
     Mixture,
-    _require_resolution,
+    _require_int,
     _require_spec,
     read_mass_csv,
 )
@@ -48,7 +48,7 @@ def discretize(spec: CopulaSpec, n: int) -> GridCopula:
     Frechet members, mixtures of them, grids at their own resolution)
     supply those.
     """
-    n = _require_resolution(n)
+    n = _require_int(n, "resolution", 2)
     _require_spec(spec)
     return GridCopula(resolution=n, masses=spec.cell_masses(n))
 
@@ -70,8 +70,7 @@ def fold_product(g1: GridCopula, g2: GridCopula) -> GridCopula:
 
 def fold_power(g: GridCopula, m: int) -> GridCopula:
     """m-fold product of g with itself (exponentiation by squaring)."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValidationError(f"fold power must be a positive integer (got {m!r})")
+    _require_int(m, "fold power")
     result: GridCopula | None = None
     base = g
     while m:
@@ -100,8 +99,7 @@ def mix_grids(weights, grids) -> GridCopula:
 
 def coarsen(g: GridCopula, factor: int) -> GridCopula:
     """Merge factor x factor blocks of cells; resolution must divide evenly."""
-    if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
-        raise ValidationError(f"coarsen factor must be a positive integer (got {factor!r})")
+    _require_int(factor, "coarsen factor")
     n = g.resolution
     if n % factor != 0:
         raise ValidationError(f"coarsen factor {factor} does not divide resolution {n}")

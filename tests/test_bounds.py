@@ -432,3 +432,13 @@ def test_mixture_bound_reproducible():
     a = verify_mixture_bound([0.5, 0.5], [M, PI], "rho", 2, 16)
     b = verify_mixture_bound([0.5, 0.5], [M, PI], "rho", 2, 16)
     assert a == b
+
+
+def test_mixture_rules_give_the_cli_theorem_map():
+    from copula_lab import bounds, cli
+
+    mixture_ids = {t for t in bounds.THEOREM_IDS if t.startswith("mixture-")}
+    assert set(cli._MIXTURE_COEFF) == mixture_ids
+    for theorem, coeff in cli._MIXTURE_COEFF.items():
+        assert bounds.MIXTURE_RULES[coeff][0] == theorem
+    assert set(bounds._COEFF_FUNCS) == set(bounds.MIXTURE_RULES)

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from copula_lab import (
+    ChainSample,
     Frechet,
     GridSpec,
     HoeffdingLower,
@@ -86,6 +87,53 @@ def test_marshall_olkin_chain_values_in_unit_interval():
     assert sample.values.max() <= 1.0
 
 
+def _bisection_step(spec, x: float, value: float) -> float:
+    """Reference oracle: smallest y with cond_cdf(x, y) >= value, to 2^-40.
+
+    Bisection on the nondecreasing right-continuous conditional; an atom
+    is found by interval inclusion as the bracket closes on the jump.
+    """
+    xa = np.asarray(x, dtype=float)
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if spec.cond_cdf(xa, np.asarray(mid, dtype=float)) >= value:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_marshall_olkin_step_matches_bisection_oracle():
+    rng = np.random.default_rng(2024)
+    edges = [(0.0, 0.0), (0.0, 0.7), (0.7, 0.0), (1.0, 0.4), (0.4, 1.0), (1.0, 1.0)]
+    params = edges + [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(14)]
+    for a, b in params:
+        spec = MarshallOlkin(a=float(a), b=float(b))
+        xs = np.concatenate(([2.0**-53, 1.0], rng.integers(1, 2**53, size=98) / 2.0**53))
+        values = rng.integers(1, 2**53, size=100) / 2.0**53
+        for x, value in zip(xs.tolist(), values.tolist()):
+            y = spec.step(x, 0.5, value)
+            assert y * 2.0**53 == math.floor(y * 2.0**53)  # on the k/2^53 lattice
+            assert abs(y - _bisection_step(spec, x, value)) <= 2.0**-40
+
+
+def test_marshall_olkin_step_from_state_zero():
+    # A W component reflects a state of 1.0 to 0.0; x^-b must not be formed.
+    for a, b in [(0.5, 0.5), (0.3, 1.0), (1.0, 0.3), (0.0, 0.5)]:
+        y = MarshallOlkin(a=a, b=b).step(0.0, 0.5, 0.3)
+        assert 0.0 < y <= 1.0
+
+
+def test_marshall_olkin_chain_matches_cell_masses():
+    spec = MarshallOlkin(a=0.3, b=0.6)
+    g = discretize(spec, 4)
+    st = empirical_lag_stats(sample_chain(spec, 50_000, 17), 1, 4, use_ranks=False)
+    freq = st.counts / st.pairs
+    sigma = 4.0 * np.sqrt(g.masses * (1 - g.masses) / st.pairs)
+    assert np.all(np.abs(freq - g.masses) < sigma)
+
+
 def test_grid_spec_chain_matches_cell_masses():
     g = discretize(Frechet(a=0.2, b=0.3), 4)
     spec = GridSpec(resolution=4, masses=g.masses)
@@ -135,6 +183,16 @@ def test_marginal_parse_and_describe():
         Marginal.parse("normal:0")
     with pytest.raises(ValidationError):
         Marginal.parse("beta:2,3")
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["uniform:", "uniform:1", "exp", "exp:", "exp:1,2", "exp:-1", "exp:nan",
+     "normal:1", "normal:1,", "normal:0,0", "normal:inf,1", "cauchy:1"],
+)
+def test_marginal_parse_rejects(descriptor):
+    with pytest.raises(ValidationError):
+        Marginal.parse(descriptor)
 
 
 def test_marginal_quantiles():
@@ -264,3 +322,22 @@ def test_empirical_stats_validation():
         empirical_lag_stats(sample, 0, 4)
     with pytest.raises(ValidationError):
         empirical_lag_stats(sample, 1, 1)
+
+
+def test_chain_sample_rejects_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            ChainSample(
+                values=np.array([0.5, bad, 0.2]), seed=0, spec=None, marginal=Marginal("uniform")
+            )
+
+
+def test_empirical_stats_without_ranks_rejects_values_outside_unit_interval():
+    for bad in (1.7, -0.2):
+        sample = ChainSample(
+            values=np.array([0.5, bad, 0.2, 0.9]), seed=0, spec=None, marginal=Marginal("uniform")
+        )
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            empirical_lag_stats(sample, 1, 4, use_ranks=False)
+        # Ranks map every finite value into (0, 1).
+        assert empirical_lag_stats(sample, 1, 4, use_ranks=True).pairs == 3

@@ -300,6 +300,27 @@ def test_lagstats_rejects_non_numeric_chain(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("ranks", ["auto", "yes", "no"])
+def test_lagstats_rejects_non_finite_chain_values(tmp_path, capsys, ranks):
+    chain = tmp_path / "bad.csv"
+    chain.write_text("0.5\nnan\n1.7\n-0.2\n0.3\n")
+    out = tmp_path / "x.json"
+    code = run(["lagstats", "--in", str(chain), "--lag", "1", "--ranks", ranks,
+                "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    assert not out.exists()
+
+
+def test_lagstats_without_ranks_rejects_values_outside_unit_interval(tmp_path, capsys):
+    chain = tmp_path / "wide.csv"
+    chain.write_text("0.5\n1.7\n-0.2\n0.3\n")
+    argv = ["lagstats", "--in", str(chain), "--lag", "1", "--out", str(tmp_path / "x.json")]
+    assert run(argv + ["--ranks", "no"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    assert run(argv + ["--ranks", "yes"]) == 0
+
+
 def test_simulate_bad_marginal_is_validation_error(tmp_path, frechet_file, capsys):
     code = run(
         ["simulate", "--spec", frechet_file, "--steps", "10", "--seed", "1",
@@ -476,3 +497,42 @@ def test_thread_cap_env_is_applied_before_numpy():
         [sys.executable, "-c", script], env=env_auto, capture_output=True, text=True
     )
     assert got.stdout.strip() == "unset"
+
+
+# --- manifests -----------------------------------------------------------------------
+
+def _manifest(out) -> dict:
+    return json.loads(open(str(out) + ".manifest.json").read())
+
+
+def test_verify_manifest_records_every_parameter(tmp_path, frechet_file):
+    out = tmp_path / "v.json"
+    manifests = []
+    for max_lag in ("5", "6"):
+        run(["verify", "--theorem", "exponential-rate", "--spec", frechet_file,
+             "--n", "8", "--max-lag", max_lag, "--out", str(out)])
+        manifests.append(_manifest(out))
+    assert manifests[0] != manifests[1]
+    assert manifests[0]["parameters"] == {
+        "spec": frechet_file, "theorem": "exponential-rate", "m": 1, "n": 8,
+        "max_lag": 5, "eps_list": "0.1,0.01", "ergodic_component": None,
+    }
+
+
+def test_manifest_parameter_keys(tmp_path, frechet_file):
+    chain = str(tmp_path / "c.csv")
+    runs = [
+        ("discretize", ["--spec", frechet_file, "--n", "4"], {"spec", "n"}),
+        ("coeffs", ["--spec", frechet_file, "--n", "4", "--lags", "1..2"], {"spec", "n", "lags"}),
+        ("simulate", ["--spec", frechet_file, "--steps", "20", "--seed", "3"],
+         {"spec", "steps", "seed", "marginal"}),
+        ("lagstats", ["--in", chain, "--lag", "1"], {"in", "lag", "grid_n", "ranks"}),
+        ("psi-divergence", ["--a", "0.2", "--b", "0.3"], {"a", "b", "lags", "eps_list"}),
+    ]
+    for command, argv, keys in runs:
+        out = chain if command == "simulate" else str(tmp_path / f"{command}.out")
+        assert run([command, *argv, "--out", out]) == 0
+        manifest = _manifest(out)
+        assert manifest["subcommand"] == command
+        assert set(manifest["parameters"]) == keys
+        assert manifest["outputs"] == [out]

@@ -31,8 +31,8 @@ from copula_lab import (
     spec_to_json,
     write_grid_csv,
 )
-from copula_lab.families import MAX_SPEC_DEPTH, _REGISTRY
-from copula_lab.grid import GridCopula
+from copula_lab.families import MAX_SPEC_DEPTH, _REGISTRY, _require_int
+from copula_lab.grid import GridCopula, coarsen, fold_power
 
 
 def unit_floats():
@@ -539,6 +539,39 @@ def test_protocol_cell_masses_match_inclusion_exclusion(type_name, n, tmp_path):
     generic = CopulaSpec.cell_masses(spec, n)
     assert exact.shape == (n, n)
     assert np.abs(exact - generic).max() <= 1e-15
+
+
+@pytest.mark.parametrize("type_name", sorted(_REGISTRY))
+def test_protocol_step_has_no_default(type_name):
+    # Every family samples exactly; none falls back to a generic inverse.
+    assert "step" not in vars(CopulaSpec)
+    assert callable(getattr(_REGISTRY[type_name], "step", None))
+
+
+def test_require_int_is_the_integer_rule():
+    assert _require_int(3, "k") == 3
+    assert _require_int(0, "k", 0) == 0
+    for bad in (True, 1.0, "2", None, 0):
+        with pytest.raises(ValidationError, match="k must be an integer >= 1"):
+            _require_int(bad, "k")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: discretize(Independence(), True),
+        lambda g: GridSpec(resolution=2.0, masses=g.masses),
+        lambda g: fold_power(g, True),
+        lambda g: coarsen(g, True),
+        lambda g: frechet_fold_params(0.2, 0.3, True),
+        lambda g: sample_chain(Independence(), 10, True),
+        lambda g: sample_chain(Independence(), 10.0, 1),
+    ],
+    ids=["resolution", "grid-resolution", "fold-power", "coarsen", "fold-lag", "seed", "steps"],
+)
+def test_integer_arguments_reject_non_integers(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(discretize(Independence(), 2))
 
 
 def test_grid_copula_is_grid_spec():
