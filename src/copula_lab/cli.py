@@ -15,6 +15,7 @@ stderr as a single machine-readable JSON line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -23,20 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    MIXTURE_RULES,
-    BoundCheckResult,
-    THEOREM_IDS,
-    exponential_rate_table,
-    psi_divergence_table,
-    tuple_decomposition_check,
-    verify_density_bound,
-    verify_mixture_bound,
-)
+from .bounds import THEOREM_IDS, psi_divergence_table, verify
 from .chains import ChainSample, Marginal, empirical_lag_stats, sample_chain
 from .coefficients import report
 from .errors import NumericalError, ValidationError
-from .families import CopulaSpec, Frechet, Mixture, parse_spec, spec_digest
+from .families import CopulaSpec, Frechet, parse_spec, spec_digest
 from .grid import discretize, write_grid_csv
 
 __all__ = ["run", "main", "parse_lag_list"]
@@ -123,33 +115,6 @@ def _write_manifest(args, digest: str) -> None:
     )
 
 
-def _result_dict(result: BoundCheckResult) -> dict:
-    return {
-        "theorem_id": result.theorem_id,
-        "m": result.m,
-        "bound": result.bound,
-        "measured": result.measured,
-        "satisfied": result.satisfied,
-        "not_applicable": result.not_applicable,
-        "witness": result.witness,
-    }
-
-
-def _require_mixture(spec: CopulaSpec) -> Mixture:
-    if not isinstance(spec, Mixture):
-        raise ValidationError("this theorem check needs a mixture spec")
-    return spec
-
-
-def _frechet_params(spec: CopulaSpec) -> tuple[float, float]:
-    # A Mardia spec is a Frechet member and passes with its own a and b.
-    if not isinstance(spec, Frechet):
-        raise ValidationError(
-            "the psi-divergence check needs a frechet or mardia spec"
-        )
-    return spec.a, spec.b
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -166,96 +131,24 @@ def _cmd_coeffs(args) -> int:
     spec = _load_spec(args.spec)
     lags = parse_lag_list(args.lags)
     rep = report(spec, args.n, lags)
-    lines = ["lag,rho,phi,beta,psi_prime,psi,n"]
-    for row in rep.rows:
-        lines.append(
-            f"{row.lag},{row.rho:.17g},{row.phi:.17g},{row.beta:.17g},"
-            f"{row.psi_prime:.17g},{row.psi:.17g},{rep.resolution}"
-        )
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
+    text = "lag,rho,phi,beta,psi_prime,psi,n\n" + "".join(
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+        % (row.lag, row.rho, row.phi, row.beta, row.psi_prime, row.psi, rep.resolution)
+        for row in rep.rows
+    )
+    Path(args.out).write_text(text, encoding="ascii")
     _write_manifest(args, spec_digest(spec))
     return 0
 
 
-# theorem id -> coefficient of the mixture bound checks
-_MIXTURE_COEFF = {theorem: coeff for coeff, (theorem, _, _) in MIXTURE_RULES.items()}
-
-
-def _dispatch_verify(args, spec: CopulaSpec) -> list[BoundCheckResult]:
-    theorem = args.theorem
-    if theorem == "density-psi-prime":
-        return [verify_density_bound(spec, args.m, args.n)]
-    if theorem == "tuple-decomposition":
-        mix = _require_mixture(spec)
-        return [
-            tuple_decomposition_check(
-                list(mix.weights), list(mix.components), args.m, args.n
-            )
-        ]
-    if theorem in _MIXTURE_COEFF:
-        mix = _require_mixture(spec)
-        return [
-            verify_mixture_bound(
-                list(mix.weights),
-                list(mix.components),
-                _MIXTURE_COEFF[theorem],
-                args.m,
-                args.n,
-                ergodic_components=args.ergodic_component,
-            )
-        ]
-    if theorem == "exponential-rate":
-        max_lag = args.max_lag if args.max_lag is not None else 5 * args.m
-        table = exponential_rate_table(spec, args.m, args.n, max_lag)
-        return [
-            BoundCheckResult(
-                theorem_id="exponential-rate",
-                m=args.m,
-                bound=1.0,
-                measured=table.ratio,
-                satisfied=table.satisfied,
-                witness={"rows": [[lag, value] for lag, value in table.rows]},
-                not_applicable=table.not_applicable,
-            )
-        ]
-    # psi-divergence: the lag under test is --m.
-    a, b = _frechet_params(spec)
-    table = psi_divergence_table(a, b, [args.m], _parse_eps_list(args.eps_list))
-    if table.not_applicable:
-        return [
-            BoundCheckResult(
-                theorem_id="psi-divergence",
-                m=args.m,
-                bound=0.0,
-                measured=0.0,
-                satisfied=False,
-                witness={"reason": "a + b = 0 (independence, psi is 0)"},
-                not_applicable=True,
-            )
-        ]
-    results = []
-    for row in table.rows:
-        results.append(
-            BoundCheckResult(
-                theorem_id="psi-divergence",
-                m=row.lag,
-                bound=row.lower_bound,
-                measured=row.grid_psi if row.grid_psi is not None else 0.0,
-                satisfied=bool(row.grid_check),
-                witness={
-                    "epsilon": row.epsilon,
-                    "grid_resolution": row.grid_resolution,
-                },
-                not_applicable=row.grid_check is None,
-            )
-        )
-    return results
-
-
 def _cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
-    results = _dispatch_verify(args, spec)
-    payload = [_result_dict(r) for r in results]
+    epsilons = _parse_eps_list(args.eps_list)
+    results = verify(
+        args.theorem, spec, args.m, args.n, max_lag=args.max_lag,
+        epsilons=epsilons, ergodic_components=args.ergodic_component,
+    )
+    payload = [dataclasses.asdict(r) for r in results]
     if args.out:
         _write_json(args.out, payload)
         _write_manifest(args, spec_digest(spec))
@@ -267,8 +160,9 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
     sample = sample_chain(spec, args.steps, args.seed, args.marginal)
-    lines = [format(v, ".17g") for v in sample.values]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
+    values = sample.values.tolist()
+    text = ("%.17g\n" * len(values)) % tuple(values)
+    Path(args.out).write_text(text, encoding="ascii")
     _write_manifest(args, spec_digest(spec))
     return 0
 
@@ -293,15 +187,8 @@ def _cmd_lagstats(args) -> int:
     # rank pipeline is correct for every marginal including uniform.
     use_ranks = args.ranks in ("auto", "yes")
     stats = empirical_lag_stats(sample, args.lag, args.grid_n, use_ranks=use_ranks)
-    payload = {
-        "lag": stats.lag,
-        "grid_n": stats.grid_n,
-        "pairs": stats.pairs,
-        "freq_equal": stats.freq_equal,
-        "freq_reflected": stats.freq_reflected,
-        "use_ranks": use_ranks,
-        "counts": stats.counts.tolist(),
-    }
+    payload = dataclasses.asdict(stats)
+    payload.update(counts=stats.counts.tolist(), use_ranks=use_ranks)
     _write_json(args.out, payload)
     _write_manifest(args, hashlib.sha256(data).hexdigest())
     return 0
@@ -310,23 +197,7 @@ def _cmd_lagstats(args) -> int:
 def _cmd_psi_divergence(args) -> int:
     lags = parse_lag_list(args.lags)
     table = psi_divergence_table(args.a, args.b, lags, _parse_eps_list(args.eps_list))
-    payload = {
-        "rows": [
-            {
-                "lag": row.lag,
-                "epsilon": row.epsilon,
-                "lower_bound": row.lower_bound,
-                "grid_resolution": row.grid_resolution,
-                "grid_psi": row.grid_psi,
-                "grid_check": row.grid_check,
-            }
-            for row in table.rows
-        ],
-        "not_applicable": table.not_applicable,
-        "satisfied": table.satisfied,
-        "diverges": table.diverges,
-    }
-    _write_json(args.out, payload)
+    _write_json(args.out, dataclasses.asdict(table))
     _write_manifest(args, spec_digest(Frechet(args.a, args.b)))
     return 0 if table.satisfied or table.not_applicable else 1
 

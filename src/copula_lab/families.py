@@ -58,6 +58,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -608,11 +609,16 @@ class GridSpec(CopulaSpec):
             return self.masses.copy()
         return super().cell_masses(n)
 
+    @cached_property
+    def _row_cdf(self) -> np.ndarray:
+        # Each row's conditional CDF at the cell edges, built once on the
+        # first step.
+        return np.cumsum(self.resolution * self.masses, axis=1)
+
     def step(self, x: float, decision: float, value: float) -> float:
         n = self.resolution
         i = min(max(math.ceil(x * n) - 1, 0), n - 1)
-        row = np.cumsum(n * self.masses[i])
-        j = min(int(np.searchsorted(row, decision, side="right")), n - 1)
+        j = min(int(np.searchsorted(self._row_cdf[i], decision, side="right")), n - 1)
         return (j + value) / n
 
     def to_json(self, canonical: bool = False) -> dict:

@@ -39,6 +39,9 @@ __all__ = [
 
 GridCopula = GridSpec
 
+# Memory budget of one n x n float64 matrix: 512 MiB, so n <= 8192.
+MAX_RESOLUTION = 8192
+
 
 def discretize(spec: CopulaSpec, n: int) -> GridCopula:
     """Project a copula spec onto the uniform n x n grid.
@@ -46,9 +49,15 @@ def discretize(spec: CopulaSpec, n: int) -> GridCopula:
     Cell masses are exact: singular parts are captured by CDF
     inclusion-exclusion, and families with closed-form grids (the
     Frechet members, mixtures of them, grids at their own resolution)
-    supply those.
+    supply those. Resolutions above ``MAX_RESOLUTION`` are rejected
+    before anything is allocated.
     """
     n = _require_int(n, "resolution", 2)
+    if n > MAX_RESOLUTION:
+        raise ValidationError(
+            f"resolution {n} is above {MAX_RESOLUTION}, the limit set by the "
+            f"512 MiB memory budget for one n x n float64 matrix"
+        )
     _require_spec(spec)
     return GridCopula(resolution=n, masses=spec.cell_masses(n))
 
@@ -116,11 +125,11 @@ def write_grid_csv(g: GridCopula, path: str) -> None:
     Masses are printed with 17 significant digits, enough for a bit-exact
     float64 round trip.
     """
+    row_format = ",".join(["%.17g"] * g.resolution) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{g.resolution}\n")
-        for row in g.masses:
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write("\n")
+        for row in g.masses.tolist():
+            fh.write(row_format % tuple(row))
 
 
 def read_grid_csv(path: str) -> GridCopula:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from copula_lab import (
+    BoundCheckResult,
     Frechet,
     GridSpec,
     HoeffdingLower,
@@ -13,6 +14,7 @@ from copula_lab import (
     MarshallOlkin,
     Mixture,
     ValidationError,
+    beta,
     discretize,
     exponential_rate_table,
     fold_power,
@@ -25,6 +27,7 @@ from copula_lab import (
     verify_density_bound,
     verify_mixture_bound,
 )
+from copula_lab.bounds import MIXTURE_RULES, THEOREMS, verify
 
 from conftest import sinkhorn_grid
 
@@ -197,19 +200,25 @@ def test_mixture_general_search_at_least_as_good_as_constant_tuples():
     comps = [Frechet(a=0.2, b=0.3), PI, MarshallOlkin(a=0.4, b=0.4)]
     raw = rng.uniform(0.2, 1.0, size=3)
     weights = list(raw / raw.sum())
+    coeff_fns = {"rho": rho, "psi_prime": psi_prime, "phi": phi, "beta": beta}
     for coeff in ("rho", "psi_prime", "phi", "beta"):
+        _, tuple_bound, want_max = MIXTURE_RULES[coeff]
         for m in (2, 3):
             full = verify_mixture_bound(weights, comps, coeff, m, 8)
-            const = verify_mixture_bound(
-                weights, comps, coeff, m, 8, constant_tuples_only=True
-            )
-            if const.not_applicable:
+            # The best constant tuple (i, ..., i): component i's lag-m
+            # grid coefficient at weight product w_i^m.
+            const = [
+                tuple_bound(w**m, coeff_fns[coeff](fold_power(discretize(c, 8), m)))
+                for w, c in zip(weights, comps)
+            ]
+            const_bound = max(const) if want_max else min(const)
+            if const_bound <= 0.0 if want_max else const_bound >= 1.0:
                 continue
             assert not full.not_applicable
             if coeff == "psi_prime":
-                assert full.bound >= const.bound - 1e-12
+                assert full.bound >= const_bound - 1e-12
             else:
-                assert full.bound <= const.bound + 1e-12
+                assert full.bound <= const_bound + 1e-12
 
 
 def test_mixture_rho_not_applicable_when_all_tuples_singular():
@@ -434,11 +443,49 @@ def test_mixture_bound_reproducible():
     assert a == b
 
 
-def test_mixture_rules_give_the_cli_theorem_map():
-    from copula_lab import bounds, cli
+def test_verify_runs_the_check_behind_each_theorem():
+    fr = Frechet(a=0.2, b=0.3)
+    weights, comps = [0.5, 0.5], [M, PI]
+    mix = Mixture(weights=tuple(weights), components=tuple(comps))
+    assert verify("density-psi-prime", fr, 2, 16) == [verify_density_bound(fr, 2, 16)]
+    assert verify("tuple-decomposition", mix, 2, 8) == [
+        tuple_decomposition_check(weights, comps, 2, 8)
+    ]
+    for coeff, (theorem, _, _) in MIXTURE_RULES.items():
+        expected = verify_mixture_bound(weights, comps, coeff, 2, 8, ergodic_components=[1])
+        assert verify(theorem, mix, 2, 8, ergodic_components=[1]) == [expected]
+    table = exponential_rate_table(fr, 1, 16, 5)
+    (rate,) = verify("exponential-rate", fr, 1, 16)
+    assert (rate.measured, rate.satisfied, rate.not_applicable) == (
+        table.ratio, table.satisfied, table.not_applicable
+    )
+    assert rate.witness["rows"] == [list(row) for row in table.rows]
+    assert len(verify("exponential-rate", fr, 1, 16, max_lag=3)[0].witness["rows"]) == 3
+    rows = psi_divergence_table(0.2, 0.3, [2], [0.1, 0.01]).rows
+    results = verify("psi-divergence", fr, 2, 16, epsilons=[0.1, 0.01])
+    assert [(r.m, r.bound, r.measured) for r in results] == [
+        (row.lag, row.lower_bound, row.grid_psi) for row in rows
+    ]
+    (na,) = verify("psi-divergence", Frechet(a=0.0, b=0.0), 1, 16)
+    assert na == BoundCheckResult.hypothesis_fails(
+        "psi-divergence", 1, 0.0, "a + b = 0 (independence, psi is 0)"
+    )
+    assert na.passed and na.measured == 0.0
 
-    mixture_ids = {t for t in bounds.THEOREM_IDS if t.startswith("mixture-")}
-    assert set(cli._MIXTURE_COEFF) == mixture_ids
-    for theorem, coeff in cli._MIXTURE_COEFF.items():
-        assert bounds.MIXTURE_RULES[coeff][0] == theorem
-    assert set(bounds._COEFF_FUNCS) == set(bounds.MIXTURE_RULES)
+
+def test_verify_rejects_unknown_theorems_and_wrong_spec_types():
+    with pytest.raises(ValidationError, match="unknown theorem"):
+        verify("fermat", PI, 1, 8)
+    for theorem in ("tuple-decomposition", "mixture-rho"):
+        with pytest.raises(ValidationError, match="mixture spec"):
+            verify(theorem, PI, 1, 8)
+    with pytest.raises(ValidationError, match="frechet or mardia"):
+        verify("psi-divergence", PI, 1, 8)
+
+
+def test_mixture_rules_give_the_cli_theorem_map():
+    from copula_lab import bounds
+
+    mixture_ids = {theorem for theorem, _, _ in MIXTURE_RULES.values()}
+    assert mixture_ids <= set(THEOREMS)
+    assert set(bounds._COEFF_FUNCS) == set(MIXTURE_RULES)

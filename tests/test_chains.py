@@ -145,6 +145,27 @@ def test_grid_spec_chain_matches_cell_masses():
     assert np.all(np.abs(freq - g.masses) < sigma)
 
 
+def _grid_step_reference(spec, x: float, decision: float, value: float) -> float:
+    # The row's conditional CDF summed afresh on every step.
+    n = spec.resolution
+    i = min(max(math.ceil(x * n) - 1, 0), n - 1)
+    row = np.cumsum(n * spec.masses[i])
+    j = min(int(np.searchsorted(row, decision, side="right")), n - 1)
+    return (j + value) / n
+
+
+def test_grid_spec_step_matches_per_row_cumsum():
+    rng = np.random.default_rng(12)
+    mix = Mixture(weights=(0.3, 0.7), components=(MarshallOlkin(a=0.4, b=0.7), Independence()))
+    for n in (7, 64, 100):
+        for source in (Frechet(a=0.2, b=0.3), mix):
+            spec = GridSpec(resolution=n, masses=discretize(source, n).masses)
+            for x, decision, value in rng.random((500, 3)):
+                assert spec.step(x, decision, value) == _grid_step_reference(
+                    spec, x, decision, value
+                )
+
+
 def test_sample_chain_validation():
     with pytest.raises(ValidationError):
         sample_chain(Independence(), 1, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,14 +9,16 @@ import pytest
 
 from copula_lab import (
     BoundCheckResult,
+    ChainSample,
     Frechet,
+    Marginal,
     empirical_lag_stats,
     parse_spec,
     read_grid_csv,
     sample_chain,
     spec_to_json,
 )
-from copula_lab import cli
+from copula_lab import bounds, cli
 from copula_lab.cli import parse_lag_list, run
 
 FRECHET_JSON = '{"type": "frechet", "a": 0.2, "b": 0.3}\n'
@@ -200,13 +203,22 @@ def test_verify_unsatisfied_exits_one(frechet_file, capsys, monkeypatch):
     fake = BoundCheckResult(
         theorem_id="density-psi-prime", m=1, bound=0.5, measured=0.1, satisfied=False
     )
-    monkeypatch.setattr(cli, "verify_density_bound", lambda *a, **k: fake)
+    monkeypatch.setattr(bounds, "verify_density_bound", lambda *a, **k: fake)
     code = run(
         ["verify", "--theorem", "density-psi-prime", "--spec", frechet_file]
     )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["satisfied"] is False
+
+
+@pytest.mark.parametrize("theorem", bounds.THEOREM_IDS)
+def test_verify_malformed_eps_list_is_validation_error(theorem, frechet_file, capsys):
+    code = run(["verify", "--theorem", theorem, "--spec", frechet_file, "--eps-list", "zz"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert "epsilon" in err["message"]
 
 
 def test_verify_unknown_theorem_is_usage_error(frechet_file, capsys):
@@ -221,7 +233,7 @@ def test_numerical_error_exits_three(frechet_file, capsys, monkeypatch):
     def boom(*a, **k):
         raise NumericalError("svd did not converge")
 
-    monkeypatch.setattr(cli, "verify_density_bound", boom)
+    monkeypatch.setattr(bounds, "verify_density_bound", boom)
     code = run(
         ["verify", "--theorem", "density-psi-prime", "--spec", frechet_file]
     )
@@ -256,6 +268,48 @@ def test_simulate_then_lagstats_pipeline(tmp_path, frechet_file):
     assert payload["freq_equal"] == want.freq_equal
     assert payload["freq_reflected"] == want.freq_reflected
     assert np.array_equal(np.array(payload["counts"]), want.counts)
+
+
+def test_simulate_writer_matches_per_value_format(tmp_path, frechet_file, monkeypatch):
+    spec = Frechet(a=0.2, b=0.3)
+    edge = [0.0, 2.0**-53, 1.0 - 2.0**-53, 5e-324, 2.2250738585072014e-308 / 3]
+    exp = sample_chain(spec, 300, 4, "exp:1.5").values
+    normal = sample_chain(spec, 300, 4, "normal:-1,2").values
+    values = np.concatenate([edge, exp, normal])
+    fake = ChainSample(values=values, seed=0, spec=spec, marginal=Marginal(kind="uniform"))
+    monkeypatch.setattr(cli, "sample_chain", lambda *a, **k: fake)
+    out = tmp_path / "chain.csv"
+    args = ["simulate", "--spec", frechet_file, "--steps", "3", "--seed", "1"]
+    assert run(args + ["--out", str(out)]) == 0
+    expected = "".join(format(v, ".17g") + "\n" for v in values)
+    assert out.read_text(encoding="ascii") == expected
+
+
+def test_coeffs_writer_matches_per_value_format(tmp_path, frechet_file, monkeypatch):
+    real = cli.report
+    edge = [0.0, 2.0**-53, 1.0 - 2.0**-53, 5e-324, 1.0 / 3]
+
+    def edged(spec, n, lags):
+        rep = real(spec, n, lags)
+        first = dataclasses.replace(
+            rep.rows[0], rho=edge[0], phi=edge[1], beta=edge[2], psi_prime=edge[3], psi=edge[4]
+        )
+        return dataclasses.replace(rep, rows=(first,) + rep.rows[1:])
+
+    monkeypatch.setattr(cli, "report", edged)
+    out = tmp_path / "coeffs.csv"
+    assert run(["coeffs", "--spec", frechet_file, "--n", "8", "--lags", "1..3", "--out", str(out)]) == 0
+    rep = edged(Frechet(a=0.2, b=0.3), 8, [1, 2, 3])
+    expected = "lag,rho,phi,beta,psi_prime,psi,n\n" + "".join(
+        ",".join(
+            [str(row.lag)]
+            + [format(v, ".17g") for v in (row.rho, row.phi, row.beta, row.psi_prime, row.psi)]
+            + ["8"]
+        )
+        + "\n"
+        for row in rep.rows
+    )
+    assert out.read_text(encoding="ascii") == expected
 
 
 def test_simulate_byte_identical_reruns(tmp_path, frechet_file):
@@ -400,6 +454,20 @@ def test_invalid_spec_parameters_is_validation_error(tmp_path, capsys):
 def _assert_validation_error(capsys, argv):
     assert run(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+def test_absurd_resolution_is_validation_error(tmp_path, frechet_file, capsys, monkeypatch):
+    # cell_masses raising stands in for the 80 GB allocation of n = 100000.
+    def allocate(self, n):
+        raise AssertionError(f"cell masses requested at n={n}")
+
+    monkeypatch.setattr(Frechet, "cell_masses", allocate)
+    for command in ("discretize", "coeffs"):
+        out = str(tmp_path / f"{command}.out")
+        _assert_validation_error(
+            capsys, [command, "--spec", frechet_file, "--n", "100000", "--out", out]
+        )
+        assert not os.path.exists(out)
 
 
 def test_non_ascii_spec_is_validation_error(tmp_path, capsys):

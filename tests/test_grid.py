@@ -25,6 +25,7 @@ from copula_lab import (
     read_grid_csv,
     write_grid_csv,
 )
+from copula_lab.grid import MAX_RESOLUTION
 
 from conftest import sinkhorn_grid
 
@@ -100,6 +101,23 @@ def test_discretize_rejects_bad_resolution():
         discretize(Independence(), 1)
     with pytest.raises(ValidationError):
         discretize(Independence(), 0)
+
+
+def test_discretize_rejects_resolution_over_budget_before_allocating(monkeypatch):
+    # A cell_masses that raises stands in for the allocation: a check
+    # made after it would fail here instead of exhausting memory.
+    class Allocated(Exception):
+        pass
+
+    def allocate(self, n):
+        raise Allocated(n)
+
+    monkeypatch.setattr(Independence, "cell_masses", allocate)
+    for n in (MAX_RESOLUTION + 1, 100_000):
+        with pytest.raises(ValidationError, match="512 MiB"):
+            discretize(Independence(), n)
+    with pytest.raises(Allocated):
+        discretize(Independence(), MAX_RESOLUTION)
 
 
 def test_densities_scale_masses():
@@ -299,6 +317,25 @@ def test_grid_csv_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.masses, g.masses)
     first = open(path, encoding="ascii").readline().strip()
     assert first == "7"
+
+
+def test_grid_csv_writer_matches_per_value_format(tmp_path):
+    # Zero, the 2^-53 lattice step, subnormals and a quarter one lattice
+    # step short, then a dense grid of arbitrary doubles.
+    tiny = 2.0**-53
+    edge = np.array(
+        [
+            [0.25, 0.0, 0.0, 0.0],
+            [0.0, 0.25 - tiny, tiny, 0.0],
+            [0.0, tiny, 0.25 - tiny, 5e-324],
+            [0.0, 0.0, 2.2250738585072014e-308 / 3, 0.25],
+        ]
+    )
+    for g in (GridCopula(resolution=4, masses=edge), sinkhorn_grid(np.random.default_rng(4), 7)):
+        path = tmp_path / "grid.csv"
+        write_grid_csv(g, str(path))
+        rows = [",".join(format(v, ".17g") for v in row) + "\n" for row in g.masses]
+        assert path.read_text(encoding="ascii") == f"{g.resolution}\n" + "".join(rows)
 
 
 def test_grid_csv_rejects_malformed(tmp_path):
