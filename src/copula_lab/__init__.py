@@ -8,9 +8,11 @@ govern their decay, and simulate the chains to compare.
 
 import os
 
-# Cap BLAS/OpenMP parallelism before numpy loads its backend. "0" or
-# unset means auto (leave the backend defaults alone); only effective
-# if numpy has not been imported elsewhere first.
+# Cap BLAS/OpenMP parallelism before numpy loads its backend. The value
+# overrides any OMP/OpenBLAS/MKL/numexpr thread variable already set, so
+# the program's own setting wins. "0" or unset means auto (leave those
+# variables and the backend defaults alone); only effective if numpy has
+# not been imported elsewhere first.
 _threads = os.environ.get("COPULA_LAB_THREADS")
 if _threads and _threads.isdigit() and _threads != "0":
     for _var in (
@@ -19,7 +21,7 @@ if _threads and _threads.isdigit() and _threads != "0":
         "MKL_NUM_THREADS",
         "NUMEXPR_NUM_THREADS",
     ):
-        os.environ.setdefault(_var, _threads)
+        os.environ[_var] = _threads
 del os
 
 __version__ = "0.1.0"

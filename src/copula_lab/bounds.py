@@ -2,7 +2,7 @@
 
 Each check discretizes its copulas, runs exact grid algebra, and
 compares a measured quantity against the theoretical bound with a fixed
-1e-9 slack for accumulated matrix-product and SVD rounding:
+1e-9 slack for accumulated matrix-product and eigensolver rounding:
 
 * ``verify_density_bound``      a density bounded below by c > 0 forces
                                 psi_prime >= c at every lag.
@@ -65,7 +65,7 @@ __all__ = [
     "verify",
 ]
 
-# Inequality slack absorbing matrix-product and SVD rounding at n <= 1024.
+# Inequality slack absorbing matrix-product and eigensolver rounding at n <= 1024.
 SLACK = 1e-9
 
 # Combinatorial budget for tuple enumeration (k^m tuples).

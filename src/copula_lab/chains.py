@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .families import CopulaSpec, _require_int, _require_spec
+from .grid import _require_resolution
 
 __all__ = [
     "Marginal",
@@ -195,10 +196,12 @@ def empirical_lag_stats(
     comparison and binning (``use_ranks`` defaults to exactly that rule;
     pass True/False to force); without ranks every value must lie in
     [0, 1]. Bit-exact comparisons are meaningful because the sampler
-    copies and reflects exactly.
+    copies and reflects exactly. A ``grid_n`` above
+    ``grid.MAX_RESOLUTION`` is rejected before the histogram is
+    allocated.
     """
     _require_int(lag, "lag")
-    _require_int(grid_n, "grid_n", 2)
+    _require_resolution(grid_n, "grid_n")
     values = sample.values
     if lag >= values.size:
         raise ValidationError(

@@ -5,6 +5,7 @@ psi-divergence. Every file-producing run writes a manifest JSON next to
 the output (``<out>.manifest.json``) recording the subcommand, a
 content digest of the spec, every parsed parameter, the tool version
 and the output paths, so results can be traced back to their inputs.
+Each file is written whole or not at all (``grid.open_output``).
 
 Exit codes: 0 success (and every checked bound satisfied or not
 applicable), 1 at least one bound unsatisfied, 2 usage or validation
@@ -29,7 +30,7 @@ from .chains import ChainSample, Marginal, empirical_lag_stats, sample_chain
 from .coefficients import report
 from .errors import NumericalError, ValidationError
 from .families import CopulaSpec, Frechet, parse_spec, spec_digest
-from .grid import discretize, write_grid_csv
+from .grid import discretize, open_output, write_grid_csv
 
 __all__ = ["run", "main", "parse_lag_list"]
 
@@ -90,10 +91,13 @@ def _load_spec(path: str) -> CopulaSpec:
     return parse_spec(_decode_ascii(Path(path).read_bytes(), path))
 
 
+def _write_text(path: str, text: str) -> None:
+    with open_output(path) as fh:
+        fh.write(text)
+
+
 def _write_json(path: str, obj) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(args, digest: str) -> None:
@@ -136,7 +140,7 @@ def _cmd_coeffs(args) -> int:
         % (row.lag, row.rho, row.phi, row.beta, row.psi_prime, row.psi, rep.resolution)
         for row in rep.rows
     )
-    Path(args.out).write_text(text, encoding="ascii")
+    _write_text(args.out, text)
     _write_manifest(args, spec_digest(spec))
     return 0
 
@@ -162,7 +166,7 @@ def _cmd_simulate(args) -> int:
     sample = sample_chain(spec, args.steps, args.seed, args.marginal)
     values = sample.values.tolist()
     text = ("%.17g\n" * len(values)) % tuple(values)
-    Path(args.out).write_text(text, encoding="ascii")
+    _write_text(args.out, text)
     _write_manifest(args, spec_digest(spec))
     return 0
 

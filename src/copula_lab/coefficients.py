@@ -9,7 +9,9 @@ reduction that makes it exact over the grid sigma-algebra:
 * rho        second-largest singular value of D = n * masses. The top
              singular value is 1 with constant vectors; D maps the
              mean-zero subspace to itself, so deflating the constant
-             direction (subtracting 1/n from every entry) exposes it.
+             direction (subtracting 1/n from every entry) exposes it
+             as the top singular value of A = D - 1/n, computed as the
+             square root of the top eigenvalue of the Gram matrix A^T A.
 * phi        worst row in total variation: max_i (1/2) sum_j
              |n*masses[i][j] - 1/n|. The half-L1 form is valid because
              each conditional row has total mass 1.
@@ -32,6 +34,7 @@ set pairs directly and certifies the reductions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,23 +60,54 @@ COEFFICIENT_IDS = ("rho", "phi", "beta", "psi_prime", "psi")
 # Enumeration over 2^(n^2) cell subsets caps the brute-force oracle.
 BRUTE_FORCE_MAX_N = 4
 
+# Rows (and columns) of the deflated grid per Gram update in rho: at
+# n = 1024 a block is 2 MiB beside the 8 MiB Gram matrix.
+_GRAM_BLOCK = 256
+
 
 def rho(g: GridCopula) -> float:
     """Maximal correlation over cell-constant mean-zero functions.
 
-    Equals the second-largest singular value of D = n * masses,
-    computed as the largest singular value of D with the constant
-    direction deflated.
+    Equals the second-largest singular value of D = n * masses, that is
+    the largest singular value of the deflated A = D - 1/n, read as
+    sqrt(lambda_max(A^T A)). Only the top value is needed, and for it
+    the Gram form loses nothing: the eigenvalues of A^T A are the
+    squared singular values of A, and forming A^T A and the symmetric
+    eigensolver both err by a few ulps of ||A^T A|| = sigma_max^2, so
+    sigma_max keeps its relative accuracy. (Small singular values would
+    not, but none is read.)
     """
     n = g.resolution
-    deflated = n * g.masses - 1.0 / n
     try:
-        top = float(np.linalg.svd(deflated, compute_uv=False)[0])
+        top = float(np.linalg.eigvalsh(_deflated_gram(g), UPLO="L")[-1])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"SVD failed to converge on the deflated {n}x{n} matrix: {exc}"
+            f"eigvalsh failed to converge on the {n}x{n} Gram matrix of the "
+            f"deflated grid: {exc}"
         ) from exc
-    return min(max(top, 0.0), 1.0)
+    return min(math.sqrt(max(top, 0.0)), 1.0)
+
+
+def _deflated_gram(g: GridCopula) -> np.ndarray:
+    """Lower triangle of A^T A for A = n * masses - 1/n.
+
+    A is deflated one block of ``_GRAM_BLOCK`` rows at a time, with the
+    same bits as deflating it whole, and each block adds its products
+    tile by tile to the lower triangle, the one ``eigvalsh`` reads (the
+    rest stays 0). No temporary is larger than a block, so at most two
+    n x n arrays are alive beside the grid: this matrix and the
+    solver's copy of it, as the deflated matrix and its copy were for a
+    full SVD.
+    """
+    n = g.resolution
+    step = _GRAM_BLOCK
+    gram = np.zeros((n, n))
+    for lo in range(0, n, step):
+        block = n * g.masses[lo : lo + step]
+        block -= 1.0 / n
+        for c in range(0, n, step):
+            gram[c : c + step, : c + step] += block[:, c : c + step].T @ block[:, : c + step]
+    return gram
 
 
 def phi(g: GridCopula) -> float:

@@ -16,6 +16,9 @@ purely singular ones, and closed forms where a family has them.
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 from .errors import ValidationError
 from .families import (
     CopulaSpec,
@@ -39,7 +42,7 @@ __all__ = [
 
 GridCopula = GridSpec
 
-# Memory budget of one n x n float64 matrix: 512 MiB, so n <= 8192.
+# Memory budget of one n x n float64 (or int64) array: 512 MiB, so n <= 8192.
 MAX_RESOLUTION = 8192
 
 
@@ -52,14 +55,20 @@ def discretize(spec: CopulaSpec, n: int) -> GridCopula:
     supply those. Resolutions above ``MAX_RESOLUTION`` are rejected
     before anything is allocated.
     """
-    n = _require_int(n, "resolution", 2)
-    if n > MAX_RESOLUTION:
-        raise ValidationError(
-            f"resolution {n} is above {MAX_RESOLUTION}, the limit set by the "
-            f"512 MiB memory budget for one n x n float64 matrix"
-        )
+    n = _require_resolution(n, "resolution")
     _require_spec(spec)
     return GridCopula(resolution=n, masses=spec.cell_masses(n))
+
+
+def _require_resolution(n, name: str) -> int:
+    """Check that an n x n array of 8-byte values fits the memory budget."""
+    n = _require_int(n, name, 2)
+    if n > MAX_RESOLUTION:
+        raise ValidationError(
+            f"{name} {n} is above {MAX_RESOLUTION}, the limit set by the "
+            f"512 MiB memory budget for one n x n array of 8-byte values"
+        )
+    return n
 
 
 def fold_product(g1: GridCopula, g2: GridCopula) -> GridCopula:
@@ -123,13 +132,37 @@ def write_grid_csv(g: GridCopula, path: str) -> None:
     """Write the CSV grid format: first line n, then n rows of n masses.
 
     Masses are printed with 17 significant digits, enough for a bit-exact
-    float64 round trip.
+    float64 round trip. The file appears only complete (:func:`open_output`).
     """
     row_format = ",".join(["%.17g"] * g.resolution) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
+    with open_output(path) as fh:
         fh.write(f"{g.resolution}\n")
         for row in g.masses.tolist():
             fh.write(row_format % tuple(row))
+
+
+@contextlib.contextmanager
+def open_output(path: str):
+    """Open ``path`` for ASCII text output that appears there only complete.
+
+    The text goes to a new hidden file in the same directory, which
+    replaces ``path`` (``os.replace``) when the block exits normally. If
+    the block raises, that file is removed and an existing ``path`` is
+    left as it was; a failure to create or rename it is reported against
+    ``path``. Every output and manifest writer goes through here.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="ascii") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
 
 
 def read_grid_csv(path: str) -> GridCopula:

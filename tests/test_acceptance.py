@@ -181,7 +181,7 @@ def test_criterion_3_oracle_equivalence():
     assert elapsed < 60.0
     print(
         f"ACCEPTANCE 3: PASS — 50 random grids, brute force = fast formulas "
-        f"(worst gap {worst:.2e}), rho lower bound <= SVD + 1e-6, {elapsed:.2f}s"
+        f"(worst gap {worst:.2e}), rho lower bound <= Gram-eigenvalue rho + 1e-6, {elapsed:.2f}s"
     )
 
 

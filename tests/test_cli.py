@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from copula_lab import (
     sample_chain,
     spec_to_json,
 )
-from copula_lab import bounds, cli
+from copula_lab import bounds, chains, cli, grid
 from copula_lab.cli import parse_lag_list, run
 
 FRECHET_JSON = '{"type": "frechet", "a": 0.2, "b": 0.3}\n'
@@ -239,6 +240,20 @@ def test_numerical_error_exits_three(frechet_file, capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+
+
+def test_rho_eigensolver_failure_exits_three(tmp_path, frechet_file, capsys, monkeypatch):
+    def no_convergence(*a, **k):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    out = tmp_path / "c.csv"
+    code = run(["coeffs", "--spec", frechet_file, "--n", "8", "--lags", "1", "--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert "eigvalsh" in err["message"]
+    assert not out.exists()
 
 
 # --- simulate + lagstats -------------------------------------------------------------
@@ -470,6 +485,23 @@ def test_absurd_resolution_is_validation_error(tmp_path, frechet_file, capsys, m
         assert not os.path.exists(out)
 
 
+def test_absurd_lagstats_grid_is_validation_error(tmp_path, capsys, monkeypatch):
+    # bincount raising stands in for the 75 GiB histogram of --grid-n 100000.
+    def allocate(*a, **k):
+        raise AssertionError("histogram allocated")
+
+    monkeypatch.setattr(chains.np, "bincount", allocate)
+    chain = tmp_path / "chain.csv"
+    chain.write_text("0.1\n0.5\n0.9\n0.3\n")
+    out = tmp_path / "stats.json"
+    for grid_n in ("8193", "100000"):
+        _assert_validation_error(
+            capsys, ["lagstats", "--in", str(chain), "--lag", "1", "--grid-n", grid_n,
+                     "--out", str(out)]
+        )
+        assert not out.exists()
+
+
 def test_non_ascii_spec_is_validation_error(tmp_path, capsys):
     p = tmp_path / "spec.json"
     p.write_bytes('{"type": "frechet", "a": 0.2, "b": 0.3, "note": "é"}'.encode("utf-8"))
@@ -565,6 +597,76 @@ def test_thread_cap_env_is_applied_before_numpy():
         [sys.executable, "-c", script], env=env_auto, capture_output=True, text=True
     )
     assert got.stdout.strip() == "unset"
+    # The program's own setting wins over a pre-set variable; "0" leaves it.
+    for cap, want in (("2", "2"), ("0", "4")):
+        env_preset = dict(os.environ, COPULA_LAB_THREADS=cap, OMP_NUM_THREADS="4")
+        got = subprocess.run(
+            [sys.executable, "-c", script], env=env_preset, capture_output=True, text=True
+        )
+        assert got.stdout.strip() == want
+
+
+# --- atomic outputs -------------------------------------------------------------------
+
+class _DiskFullAfter:
+    """A text file that takes ``limit`` characters, then fails like a full disk."""
+
+    def __init__(self, fh, limit):
+        self._fh = fh
+        self._room = limit
+
+    def write(self, text):
+        self._fh.write(text[: self._room])
+        self._room -= min(len(text), self._room)
+        if self._room == 0:
+            self._fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discretize", "--spec", "{spec}", "--n", "16", "--out", "{out}"],
+        ["coeffs", "--spec", "{spec}", "--n", "8", "--lags", "1..2", "--out", "{out}"],
+        ["simulate", "--spec", "{spec}", "--steps", "200", "--seed", "3", "--out", "{out}"],
+        ["verify", "--theorem", "density-psi-prime", "--spec", "{spec}", "--n", "8",
+         "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_failing_writer_leaves_no_partial_output(tmp_path, frechet_file, capsys, monkeypatch, argv):
+    real_open = open
+    monkeypatch.setattr(
+        grid, "open", lambda *a, **k: _DiskFullAfter(real_open(*a, **k), 40), raising=False
+    )
+    out = tmp_path / "out" / "result"
+    out.parent.mkdir()
+    argv = [a.format(spec=frechet_file, out=out) for a in argv]
+    assert run(argv) != 0
+    assert "No space left" in json.loads(capsys.readouterr().err)["message"]
+    assert os.listdir(out.parent) == []
+    # An earlier output stays whole when its replacement fails.
+    out.write_text("earlier output\n")
+    assert run(argv) != 0
+    assert os.listdir(out.parent) == ["result"]
+    assert out.read_text() == "earlier output\n"
+
+
+def test_unwritable_output_is_reported_against_its_path(tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    for out in (tmp_path / "missing" / "div.json", tmp_path / "taken"):
+        assert run(["psi-divergence", "--a", "0.2", "--b", "0.3", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert err["message"].endswith(repr(str(out)))
+    assert os.listdir(tmp_path) == ["taken"]
 
 
 # --- manifests -----------------------------------------------------------------------

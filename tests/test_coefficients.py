@@ -7,6 +7,7 @@ from copula_lab import (
     HoeffdingLower,
     HoeffdingUpper,
     Independence,
+    Mardia,
     MarshallOlkin,
     Mixture,
     ValidationError,
@@ -32,6 +33,8 @@ M_GRID_4 = discretize(HoeffdingUpper(), 4)
 
 def test_rho_independence_is_zero():
     assert rho(PI_GRID) == 0.0
+    # 300 is not a multiple of the Gram block: the last block is short.
+    assert rho(discretize(Independence(), 300)) == 0.0
 
 
 def test_rho_upper_bound_is_one():
@@ -50,6 +53,47 @@ def test_rho_frechet_n2_degenerate():
     # At n=2 the mean-zero subspace is one-dimensional and the reversal
     # and identity parts collapse onto it together: rho = |b-a|.
     assert abs(rho(F_GRID_2) - 0.1) < 1e-12
+
+
+def _svd_rho(g):
+    # rho as the top singular value of the whole deflated matrix: the
+    # reference for the Gram-eigenvalue kernel.
+    n = g.resolution
+    top = float(np.linalg.svd(n * g.masses - 1.0 / n, compute_uv=False)[0])
+    return min(max(top, 0.0), 1.0)
+
+
+def _rho_cross_check_grids():
+    rng = np.random.default_rng(20261018)
+    for n in (2, 3, 5, 64, 255, 256, 257, 300, 1024):
+        yield f"dense-{n}", sinkhorn_grid(rng, n)
+    for n in (8, 64, 300, 1024):
+        yield f"sparse-{n}", sinkhorn_grid(rng, n, permutations=4)
+    specs = {
+        "independence": Independence(),
+        "w": HoeffdingLower(),
+        "m": HoeffdingUpper(),
+        "frechet": Frechet(a=0.2, b=0.3),
+        "frechet-tiny": Frechet(a=1e-9, b=1e-9),
+        "mardia": Mardia(theta=0.4),
+        "marshall-olkin": MarshallOlkin(a=0.3, b=0.6),
+        "mixture": Mixture(
+            weights=(0.5, 0.3, 0.2),
+            components=(Frechet(a=0.2, b=0.3), HoeffdingUpper(), MarshallOlkin(a=0.3, b=0.6)),
+        ),
+    }
+    for name, spec in specs.items():
+        for n in (2, 7, 64, 300):
+            yield f"{name}-{n}", discretize(spec, n)
+    for n in (64, 300):
+        yield f"dense-{n}-lag2", fold_power(sinkhorn_grid(rng, n), 2)
+        yield f"sparse-{n}-lag2", fold_power(sinkhorn_grid(rng, n, permutations=4), 2)
+        yield f"mixture-{n}-lag2", fold_power(discretize(specs["mixture"], n), 2)
+
+
+def test_rho_matches_full_svd():
+    for name, g in _rho_cross_check_grids():
+        assert abs(rho(g) - _svd_rho(g)) <= 1e-12, name
 
 
 def test_phi_examples():
