@@ -26,7 +26,7 @@ del os
 
 __version__ = "0.1.0"
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, OutputError, ValidationError
 from .families import (
     ON_SINGULAR,
     CopulaSpec,
@@ -95,6 +95,7 @@ __all__ = [
     "__version__",
     "ValidationError",
     "NumericalError",
+    "OutputError",
     "ON_SINGULAR",
     "CopulaSpec",
     "Independence",

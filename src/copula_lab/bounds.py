@@ -46,7 +46,7 @@ from .families import (
     _require_spec,
     frechet_fold_params,
 )
-from .grid import GridCopula, discretize, fold_power, fold_product, mix_grids
+from .grid import GridCopula, discretize, fold_power, lag_walk, mix_grids
 from .coefficients import beta, phi, psi, psi_prime, rho
 
 __all__ = [
@@ -130,17 +130,9 @@ def verify_density_bound(spec: CopulaSpec, m: int, n: int) -> BoundCheckResult:
         return BoundCheckResult.hypothesis_fails(
             "density-psi-prime", m, c, "density not bounded away from zero (c <= 0)"
         )
-    base = discretize(spec, n)
-    g_m = fold_power(base, m)
-    g_2m = fold_product(g_m, g_m)
-    g_3m = fold_product(g_2m, g_m)
-    checks = []
-    satisfied = True
-    for lag, g in ((m, g_m), (2 * m, g_2m), (3 * m, g_3m)):
-        value = psi_prime(g)
-        checks.append({"lag": lag, "psi_prime": value})
-        if value < c * (1.0 - SLACK):
-            satisfied = False
+    g_m = fold_power(discretize(spec, n), m)
+    checks = [{"lag": lag, "psi_prime": psi_prime(g)} for lag, g in lag_walk(g_m, m, 3 * m)]
+    satisfied = not any(check["psi_prime"] < c * (1.0 - SLACK) for check in checks)
     flat = int(np.argmin(g_m.masses))
     cell = (flat // g_m.resolution, flat % g_m.resolution)
     return BoundCheckResult(
@@ -257,6 +249,28 @@ def verify_mixture_bound(
     tie-break) and compares the mixture's measured coefficient at lag m
     against it with 1e-9 slack.
 
+    The best tuple is found by branch and bound (Land and Doig 1960),
+    with the same result, bit for bit, as evaluating all k^m tuples:
+    the best bound, and among tuples attaining it the lexicographically
+    first. Tuples are visited by descending weight product w (a stable
+    sort, so equal products keep lexicographic order). A tuple's bound
+    is never better than its best case, the tuple bound at w and the
+    most favourable coefficient: 0 for rho, phi and beta (each is
+    >= 0), and for psi_prime a proven cap on every tuple grid's
+    psi_prime (``_psi_prime_cap``). The cap is not 1: psi_prime of a
+    tuple grid can round above 1, as the independence tuple does at
+    n = 10, m = 2. Float rounding is monotone, so the best case bounds
+    the computed bound too, and it only worsens down the visiting
+    order. So the search stops at the first tuple whose best case is
+    strictly worse than the best bound so far, and skips one whose best
+    case equals it but whose index comes after the best tuple's: no
+    tuple left out could have won, even on the tie-break. Each
+    evaluated tuple's weight product and matrix are the same floats as
+    in the full search: left-to-right weight products and the fold
+    ((A_i1 @ A_i2) @ ...) @ A_im scaled by n^(m-1), reusing the at
+    most m - 1 prefix products it shares with the tuple evaluated
+    before it.
+
     phi and beta additionally require an ergodic-and-aperiodic
     component; ``ergodic_components`` lists asserted component indices,
     defaulting to the components whose lag-1 grid has every cell
@@ -288,22 +302,9 @@ def verify_mixture_bound(
         )
 
     coeff_fn = _COEFF_FUNCS[coefficient]
-    mats = [g.masses for g in grids]
-    scale = float(n) ** (m - 1)
-    best_bound = None
-    best_idx = None
-    best_value = None
-    for idx, w, raw in _iter_tuple_products(spec.weights, mats, m):
-        tuple_grid = GridCopula(resolution=n, masses=scale * raw)
-        value = coeff_fn(tuple_grid)
-        bound = tuple_bound(w, value)
-        better = best_bound is None or (
-            bound > best_bound if want_max else bound < best_bound
-        )
-        if better:
-            best_bound, best_idx, best_value = bound, idx, value
-
-    assert best_bound is not None and best_idx is not None
+    best_bound, best_idx, best_value = _best_tuple(
+        spec.weights, [g.masses for g in grids], m, coeff_fn, tuple_bound, want_max
+    )
     vacuous = best_bound <= 0.0 if want_max else best_bound >= 1.0
     if vacuous:
         reason = "every tuple bound is vacuous"
@@ -329,6 +330,62 @@ def verify_mixture_bound(
             "ergodic_components": flagged,
         },
     )
+
+
+def _best_tuple(weights, mats, m, coeff_fn, tuple_bound, want_max):
+    """(bound, index tuple, coefficient) of the best length-m tuple, by
+    the search that ``verify_mixture_bound`` describes."""
+    n = len(mats[0])
+    scale = float(n) ** (m - 1)
+    favourable = _psi_prime_cap(mats, m) if want_max else 0.0
+    sign = -1.0 if want_max else 1.0  # sign * bound: smaller is better
+    tuples = [((), 1.0)]
+    for _ in range(m):
+        tuples = [(idx + (i,), w * wi) for idx, w in tuples for i, wi in enumerate(weights)]
+    tuples.sort(key=lambda t: t[1], reverse=True)
+
+    best = None  # (sign * bound, index tuple, bound, coefficient)
+    prefixes: list[np.ndarray] = []  # products of the first 1, 2, ... of `built`
+    built: tuple[int, ...] = ()
+    for idx, w in tuples:
+        if best is not None:
+            best_case = sign * tuple_bound(w, favourable)
+            if best_case > best[0]:
+                break
+            if (best_case, idx) > best[:2]:  # a tie at best, lost on the index
+                continue
+        shared = 0
+        while shared < len(prefixes) and idx[shared] == built[shared]:
+            shared += 1
+        del prefixes[shared:]
+        for j in range(shared, m - 1):
+            prefixes.append(prefixes[-1] @ mats[idx[j]] if prefixes else mats[idx[j]])
+        raw = prefixes[-1] @ mats[idx[-1]] if prefixes else mats[idx[0]]
+        built = idx
+        value = coeff_fn(GridCopula(resolution=n, masses=scale * raw))
+        bound = tuple_bound(w, value)
+        if best is None or (sign * bound, idx) < best[:2]:
+            best = (sign * bound, idx, bound, value)
+    return best[2], best[1], best[3]
+
+
+def _psi_prime_cap(mats, m: int) -> float:
+    """A float that psi_prime of no length-m tuple grid of ``mats`` exceeds.
+
+    psi_prime is n^2 times the smallest cell, at most n times the
+    largest row sum. For nonnegative matrices the row sums of a product
+    are at most the product of the factors' largest row sums, so
+    psi_prime <= r^m with r = n * (largest row sum of any component).
+    In floats each of the m row sums and m - 1 matrix products of
+    nonnegative terms errs by a relative gamma_n = n*u/(1 - n*u) at
+    most (u = 2^-53; Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.5), and the scalings and powers by a few u more: the
+    margin 8(m + 1)(n + 1)u is over four times the first-order sum,
+    (2m - 1)nu + (m + 8)u.
+    """
+    n = len(mats[0])
+    r = n * max(float(mat.sum(axis=1).max()) for mat in mats)
+    return r**m * (1.0 + 8 * (m + 1) * (n + 1) * 2.0**-53)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +426,7 @@ def exponential_rate_table(
     g_m = fold_power(base, m)
     if psi_prime(g_m) <= 0.0:
         return RateTable(rows=(), ratio=0.0, satisfied=False, not_applicable=True)
-    rows = []
-    current = g_m
-    lag = m
-    while lag <= max_lag:
-        rows.append((lag, 1.0 - psi_prime(current)))
-        lag += m
-        if lag <= max_lag:
-            current = fold_product(current, g_m)
+    rows = [(lag, 1.0 - psi_prime(g)) for lag, g in lag_walk(g_m, m, max_lag)]
     ratios = []
     for (_, prev), (_, nxt) in zip(rows, rows[1:]):
         if prev > SLACK:

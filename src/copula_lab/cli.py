@@ -8,9 +8,11 @@ and the output paths, so results can be traced back to their inputs.
 Each file is written whole or not at all (``grid.open_output``).
 
 Exit codes: 0 success (and every checked bound satisfied or not
-applicable), 1 at least one bound unsatisfied, 2 usage or validation
-error, 3 numerical failure or internal error. Errors are emitted to
-stderr as a single machine-readable JSON line.
+applicable), 1 at least one bound unsatisfied, 2 usage, validation or
+output (io) error, 3 numerical failure or internal error. Errors are
+emitted to stderr as a single machine-readable JSON line whose "error"
+kind is usage (bad command line, unreadable input), validation,
+io (an output or manifest could not be written), numerical or internal.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import __version__
 from .bounds import THEOREM_IDS, psi_divergence_table, verify
 from .chains import ChainSample, Marginal, empirical_lag_stats, sample_chain
 from .coefficients import report
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, OutputError, ValidationError
 from .families import CopulaSpec, Frechet, parse_spec, spec_digest
 from .grid import discretize, open_output, write_grid_csv
 
@@ -308,6 +310,9 @@ def run(argv: list[str]) -> int:
         return 2
     except json.JSONDecodeError as exc:
         _emit_error("usage", f"malformed JSON: {exc}")
+        return 2
+    except OutputError as exc:
+        _emit_error("io", str(exc))
         return 2
     except OSError as exc:
         _emit_error("usage", str(exc))

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .families import CopulaSpec, _require_int
-from .grid import GridCopula, discretize, fold_product
+from .grid import GridCopula, discretize, lag_walk
 
 __all__ = [
     "rho",
@@ -325,11 +325,7 @@ def report(spec: CopulaSpec, n: int, lags) -> MixingReport:
         raise ValidationError(f"lags must be strictly ascending (got {lags})")
     base = discretize(spec, n)
     rows = []
-    current = base
-    power = 1
-    for lag in lags:
-        while power < lag:
-            current = fold_product(current, base)
-            power += 1
-        rows.append(_row_for_lag(lag, current))
+    for lag, g in lag_walk(base, 1, lags[-1]):
+        if lag in lags:
+            rows.append(_row_for_lag(lag, g))
     return MixingReport(resolution=base.resolution, rows=tuple(rows))

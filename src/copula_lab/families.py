@@ -792,7 +792,7 @@ def read_mass_csv(path: str) -> tuple[int, np.ndarray]:
                 f"grid file {path!r}: row {k} has {len(parts)} entries, expected {n}"
             )
         try:
-            rows.append([float(p) for p in parts])
+            rows.append(np.array([float(p) for p in parts]))
         except ValueError as exc:
             raise ValidationError(
                 f"grid file {path!r}: row {k} has a non-numeric entry"

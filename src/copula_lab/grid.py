@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-from .errors import ValidationError
+from .errors import OutputError, ValidationError
 from .families import (
     CopulaSpec,
     GridSpec,
@@ -34,6 +34,7 @@ __all__ = [
     "discretize",
     "fold_product",
     "fold_power",
+    "lag_walk",
     "mix_grids",
     "coarsen",
     "write_grid_csv",
@@ -101,6 +102,19 @@ def fold_power(g: GridCopula, m: int) -> GridCopula:
     return result
 
 
+def lag_walk(step: GridCopula, stride: int, max_lag: int):
+    """Yield (lag, grid) for lag = stride, 2 * stride, ... up to max_lag.
+
+    ``step`` is the lag-``stride`` grid; each later grid is
+    fold_product(previous, step), built only when it is asked for.
+    """
+    current = step
+    for lag in range(stride, max_lag + 1, stride):
+        if lag > stride:
+            current = fold_product(current, step)
+        yield lag, current
+
+
 def mix_grids(weights, grids) -> GridCopula:
     """Cellwise convex combination of equally sized grids.
 
@@ -148,8 +162,10 @@ def open_output(path: str):
     The text goes to a new hidden file in the same directory, which
     replaces ``path`` (``os.replace``) when the block exits normally. If
     the block raises, that file is removed and an existing ``path`` is
-    left as it was; a failure to create or rename it is reported against
-    ``path``. Every output and manifest writer goes through here.
+    left as it was. Any OSError while creating, writing or renaming the
+    file is raised again as an ``OutputError``, with ``path`` in place of
+    the hidden file's name. Every output and manifest writer goes
+    through here.
     """
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
@@ -160,8 +176,9 @@ def open_output(path: str):
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:
-            raise OSError(exc.errno, exc.strerror, path) from exc
+        if isinstance(exc, OSError):
+            args = (exc.errno, exc.strerror, path) if exc.filename == tmp else exc.args
+            raise OutputError(*args) from exc
         raise
 
 

@@ -27,6 +27,7 @@ from copula_lab import (
     verify_density_bound,
     verify_mixture_bound,
 )
+from copula_lab import bounds
 from copula_lab.bounds import MIXTURE_RULES, THEOREMS, verify
 
 from conftest import sinkhorn_grid
@@ -262,6 +263,146 @@ def test_mixture_bound_validation():
         verify_mixture_bound([0.5, 0.5], [M, PI], "rho", 14, 8)
 
 
+# --- the pruned tuple search against the exhaustive one -------------------------
+
+COEFFICIENTS = ("rho", "psi_prime", "phi", "beta")
+
+
+def _exhaustive_best_tuple(weights, mats, m, coeff_fn, tuple_bound, want_max):
+    """Reference oracle: evaluate every tuple in lexicographic order and
+    keep the first with the best bound."""
+    n = len(mats[0])
+    scale = float(n) ** (m - 1)
+    best = None
+    for idx, w, raw in bounds._iter_tuple_products(weights, mats, m):
+        value = coeff_fn(GridSpec(resolution=n, masses=scale * raw))
+        bound = tuple_bound(w, value)
+        if best is None or (bound > best[0] if want_max else bound < best[0]):
+            best = (bound, idx, value)
+    return best
+
+
+def _assert_matches_exhaustive(monkeypatch, weights, comps, coeff, m, n, **kw):
+    got = verify_mixture_bound(weights, comps, coeff, m, n, **kw)
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_best_tuple", _exhaustive_best_tuple)
+        want = verify_mixture_bound(weights, comps, coeff, m, n, **kw)
+    assert got.bound == want.bound, (coeff, m, n, comps)
+    assert got.measured == want.measured, (coeff, m, n, comps)
+    assert got.witness.get("best_tuple") == want.witness.get("best_tuple")
+    assert got.witness.get("tuple_coefficient") == want.witness.get("tuple_coefficient")
+    assert got == want
+    return got
+
+
+def _count_coefficient_calls(monkeypatch, coeff):
+    calls = []
+    fn = bounds._COEFF_FUNCS[coeff]
+    monkeypatch.setitem(bounds._COEFF_FUNCS, coeff, lambda g: calls.append(1) or fn(g))
+    return calls
+
+
+def test_pruned_search_matches_exhaustive_on_random_mixtures(monkeypatch):
+    rng = np.random.default_rng(20261018)
+    for n in (7, 10, 16):
+        pool = [PI, W, M, Frechet(a=0.2, b=0.3), Mardia(theta=0.4),
+                MarshallOlkin(a=0.4, b=0.6), sinkhorn_grid(rng, n)]
+        for k in range(1, 5):
+            for m in range(1, 5):
+                comps = [pool[int(i)] for i in rng.integers(len(pool), size=k)]
+                raw = rng.uniform(0.2, 1.0, size=k)
+                weights = list(raw / raw.sum())
+                for coeff in COEFFICIENTS:
+                    _assert_matches_exhaustive(monkeypatch, weights, comps, coeff, m, n)
+
+
+def test_pruned_search_matches_exhaustive_on_weight_product_ties(monkeypatch):
+    fr = Frechet(a=0.2, b=0.3)
+    cases = [
+        ([0.25] * 4, [fr, MarshallOlkin(a=0.4, b=0.6), PI, Mardia(theta=0.3)]),
+        ([0.3, 0.3, 0.4], [fr, fr, M]),
+        ([0.5, 0.25, 0.25], [M, fr, fr]),
+        ([0.25, 0.25, 0.5], [PI, fr, PI]),
+    ]
+    for weights, comps in cases:
+        for coeff in COEFFICIENTS:
+            for m in (1, 2, 3):
+                _assert_matches_exhaustive(monkeypatch, weights, comps, coeff, m, 10)
+
+
+def test_pruned_search_keeps_the_earlier_of_tied_bounds(monkeypatch):
+    # Every tuple holding the independence grid has rho and phi exactly 0
+    # at n = 8. (0, 1, 0) and (1, 0, 0) weigh (0.55 * 0.23) * 0.55, one
+    # ulp more than (0, 0, 1) at (0.55 * 0.55) * 0.23, so they are
+    # visited first; all three bounds round to the same 1 - w, and the
+    # lexicographically first tuple, visited last, must still win.
+    weights, comps = [0.55, 0.23, 0.22], [M, PI, Frechet(a=0.2, b=0.3)]
+    assert (0.55 * 0.55) * 0.23 < (0.55 * 0.23) * 0.55
+    for coeff in ("rho", "phi", "beta"):
+        res = _assert_matches_exhaustive(monkeypatch, weights, comps, coeff, 3, 8)
+        assert res.witness["best_tuple"] == [0, 0, 1]
+
+
+def test_pruned_search_matches_exhaustive_on_ergodic_paths(monkeypatch):
+    for coeff in ("phi", "beta"):
+        for m in (1, 2, 3):
+            # Auto-flagged: the independence and Frechet grids are all positive.
+            _assert_matches_exhaustive(monkeypatch, [0.2, 0.3, 0.5], [W, PI, M], coeff, m, 8)
+            _assert_matches_exhaustive(
+                monkeypatch, [0.4, 0.6], [Frechet(a=0.1, b=0.2), M], coeff, m, 8
+            )
+            # Asserted: no grid is positive, the flag alone enables the check.
+            res = _assert_matches_exhaustive(
+                monkeypatch, [0.5, 0.5], [W, M], coeff, m, 8, ergodic_components=[0]
+            )
+            assert res.witness["ergodic_components"] == [0]
+
+
+def test_psi_prime_search_guards_against_values_above_one(monkeypatch):
+    # At n = 10 the independence tuple (1, 1) rounds to psi_prime
+    # 1 + 2^-52, and (0, 1) to exactly 1 at the same weight product. A
+    # best case of w * 1 would tie with (0, 1) and skip the true winner.
+    mats = [discretize(c, 10).masses for c in (M, PI)]
+    tuple_grid = GridSpec(resolution=10, masses=10.0 * (mats[1] @ mats[1]))
+    assert psi_prime(tuple_grid) > 1.0
+    assert bounds._psi_prime_cap(mats, 2) >= psi_prime(tuple_grid)
+    res = _assert_matches_exhaustive(monkeypatch, [0.5, 0.5], [M, PI], "psi_prime", 2, 10)
+    assert res.witness["best_tuple"] == [1, 1]
+    assert res.bound == 0.25 + 2.0**-54
+
+
+def test_psi_prime_cap_covers_every_tuple():
+    rng = np.random.default_rng(5)
+    for n in (7, 10, 16):
+        comps = [PI, Frechet(a=0.2, b=0.3), MarshallOlkin(a=0.3, b=0.5), sinkhorn_grid(rng, n)]
+        mats = [discretize(c, n).masses for c in comps]
+        for m in (1, 2, 3):
+            cap = bounds._psi_prime_cap(mats, m)
+            scale = float(n) ** (m - 1)
+            for _, _, raw in bounds._iter_tuple_products([0.25] * 4, mats, m):
+                assert psi_prime(GridSpec(resolution=n, masses=scale * raw)) <= cap
+
+
+def test_pruned_search_evaluates_fewer_tuples(monkeypatch):
+    comps = [Frechet(a=0.2, b=0.3), M, MarshallOlkin(a=0.4, b=0.6)]
+    for coeff in ("rho", "psi_prime", "phi"):
+        calls = _count_coefficient_calls(monkeypatch, coeff)
+        res = verify_mixture_bound([0.3, 0.3, 0.4], comps, coeff, 4, 16)
+        assert not res.not_applicable
+        # The tuple search and one call for the mixture's own coefficient.
+        assert len(calls) - 1 < 3**4
+
+
+def test_vacuous_search_evaluates_every_tuple(monkeypatch):
+    for coeff in ("rho", "psi_prime"):
+        res = _assert_matches_exhaustive(monkeypatch, [0.5, 0.5], [M, M], coeff, 3, 8)
+        assert res.not_applicable and res.witness["best_tuple"] == [0, 0, 0]
+        assert res.bound == (0.0 if coeff == "psi_prime" else 1.0)
+        calls = _count_coefficient_calls(monkeypatch, coeff)
+        verify_mixture_bound([0.5, 0.5], [M, M], coeff, 3, 8)
+        assert len(calls) == 2**3
+
+
 # --- exponential rate tables ------------------------------------------------------
 
 def test_rate_table_independence():
@@ -484,8 +625,6 @@ def test_verify_rejects_unknown_theorems_and_wrong_spec_types():
 
 
 def test_mixture_rules_give_the_cli_theorem_map():
-    from copula_lab import bounds
-
     mixture_ids = {theorem for theorem, _, _ in MIXTURE_RULES.values()}
     assert mixture_ids <= set(THEOREMS)
     assert set(bounds._COEFF_FUNCS) == set(MIXTURE_RULES)

@@ -649,12 +649,13 @@ def test_failing_writer_leaves_no_partial_output(tmp_path, frechet_file, capsys,
     out = tmp_path / "out" / "result"
     out.parent.mkdir()
     argv = [a.format(spec=frechet_file, out=out) for a in argv]
-    assert run(argv) != 0
-    assert "No space left" in json.loads(capsys.readouterr().err)["message"]
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "io", "message": "[Errno 28] No space left on device"}
     assert os.listdir(out.parent) == []
     # An earlier output stays whole when its replacement fails.
     out.write_text("earlier output\n")
-    assert run(argv) != 0
+    assert run(argv) == 2
     assert os.listdir(out.parent) == ["result"]
     assert out.read_text() == "earlier output\n"
 
@@ -664,7 +665,7 @@ def test_unwritable_output_is_reported_against_its_path(tmp_path, capsys):
     for out in (tmp_path / "missing" / "div.json", tmp_path / "taken"):
         assert run(["psi-divergence", "--a", "0.2", "--b", "0.3", "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "usage"
+        assert err["error"] == "io"
         assert err["message"].endswith(repr(str(out)))
     assert os.listdir(tmp_path) == ["taken"]
 

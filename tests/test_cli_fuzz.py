@@ -6,8 +6,9 @@ replays from its seed). Values are mostly small valid ones, so most
 runs get past parsing, and otherwise malformed; now and then a required
 option is dropped or a stray argument added. Whatever the input,
 ``cli.run`` must return 0, 1, 2 or 3 and never report an ``internal``
-error. Sizes stay small (n <= 16, base lag <= 3, at most 300 chain
-steps), so each run is cheap.
+error; an ``io`` error (an output that cannot be written) exits 2.
+Sizes stay small (n <= 16, base lag <= 3, at most 300 chain steps), so
+each run is cheap.
 """
 
 import contextlib
@@ -161,5 +162,7 @@ def test_cli_exit_codes_are_documented(tmp_path_factory):
         assert '"internal"' not in stderr.getvalue(), (argv, files, stderr.getvalue())
         if code == 3:
             assert json.loads(stderr.getvalue())["error"] == "numerical", argv
+        if '{"error": "io"' in stderr.getvalue():
+            assert code == 2, (argv, code)
 
     check()

@@ -25,7 +25,9 @@ from copula_lab import (
     read_grid_csv,
     write_grid_csv,
 )
-from copula_lab.grid import MAX_RESOLUTION
+from copula_lab import grid
+from copula_lab.errors import OutputError
+from copula_lab.grid import MAX_RESOLUTION, lag_walk, open_output
 
 from conftest import sinkhorn_grid
 
@@ -176,6 +178,21 @@ def test_fold_power_matches_sequential():
     for m in range(2, 7):
         seq = fold_product(seq, g)
         assert np.abs(fold_power(g, m).masses - seq.masses).max() < 1e-12
+
+
+def test_lag_walk_folds_by_the_step_in_order(monkeypatch):
+    g = sinkhorn_grid(np.random.default_rng(4), 6)
+    calls = []
+    real = grid.fold_product
+    monkeypatch.setattr(grid, "fold_product", lambda a, b: calls.append(1) or real(a, b))
+    walk = list(lag_walk(g, 2, 7))
+    assert [lag for lag, _ in walk] == [2, 4, 6]
+    assert len(calls) == 2  # no product past the last lag
+    want = g
+    for lag, got in walk:
+        assert got.masses.tobytes() == want.masses.tobytes()
+        want = real(want, g)
+    assert list(lag_walk(g, 3, 2)) == []
 
 
 def test_fold_power_rejects_bad_exponent():
@@ -373,3 +390,15 @@ def test_grid_copula_clamps_dust_and_is_readonly():
     assert g.masses.min() >= 0.0
     with pytest.raises(ValueError):
         g.masses[0, 0] = 0.5
+
+
+def test_open_output_failures_are_output_errors(tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    with pytest.raises(OutputError) as info:
+        with open_output(str(target)) as fh:
+            fh.write("x")
+    assert isinstance(info.value, OSError) and info.value.filename == str(target)
+    with pytest.raises(ValueError):  # not an I/O failure: raised as it is
+        with open_output(str(tmp_path / "out.txt")):
+            raise ValueError("boom")
+    assert list(tmp_path.iterdir()) == []
