@@ -32,6 +32,7 @@ check behind a theorem id of ``THEOREMS``, answering in BoundCheckResults.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -71,6 +72,9 @@ SLACK = 1e-9
 # Combinatorial budget for tuple enumeration (k^m tuples).
 TUPLE_BUDGET = 10_000
 TUPLE_MAX_RESOLUTION = 128
+# Tuple products carry entries near n^-(m+1); above 2^-1022 they stay
+# normal doubles, so (m + 1) * log2(n) may not exceed 1022.
+TUPLE_MAX_EXPONENT = 1022
 
 
 @dataclass(frozen=True)
@@ -154,15 +158,22 @@ def _iter_tuple_products(weights, mats: list[np.ndarray], m: int):
     lexicographic order.
 
     Products are of raw mass matrices; the caller scales by n^(m-1) to
-    obtain grid masses. Prefix products are shared across the k^m leaves.
+    obtain grid masses. Prefix products are shared across the k^m leaves:
+    each tuple recomputes them only from its first entry that differs
+    from the tuple before it. The walk is a loop, not a recursion, so m
+    is not limited by the interpreter's recursion depth.
     """
-    if m == 1:
-        for i, (w, mat) in enumerate(zip(weights, mats)):
-            yield (i,), w, mat
-        return
-    for prefix_idx, prefix_w, prefix in _iter_tuple_products(weights, mats, m - 1):
-        for i, (w, mat) in enumerate(zip(weights, mats)):
-            yield prefix_idx + (i,), prefix_w * w, prefix @ mat
+    prefix_w = [0.0] * m
+    prefix = [None] * m
+    prev = None
+    for idx in itertools.product(range(len(mats)), repeat=m):
+        start = 0 if prev is None else [a != b for a, b in zip(idx, prev)].index(True)
+        for j in range(start, m):
+            i = idx[j]
+            prefix_w[j] = weights[i] if j == 0 else prefix_w[j - 1] * weights[i]
+            prefix[j] = mats[i] if j == 0 else prefix[j - 1] @ mats[i]
+        prev = idx
+        yield idx, prefix_w[-1], prefix[-1]
 
 
 def _tuple_grids(weights, components, m: int, n: int):
@@ -173,9 +184,16 @@ def _tuple_grids(weights, components, m: int, n: int):
         raise ValidationError(
             f"tuple enumeration budget exceeded: {k}^{m} > {TUPLE_BUDGET}"
         )
+    n = _require_int(n, "resolution", 2)
     if n > TUPLE_MAX_RESOLUTION:
         raise ValidationError(
             f"tuple checks refuse n > {TUPLE_MAX_RESOLUTION} (got {n})"
+        )
+    exponent = (m + 1) * math.log2(n)
+    if exponent > TUPLE_MAX_EXPONENT:
+        raise ValidationError(
+            f"tuple exponent budget exceeded: (m + 1) * log2(n) = {exponent:.6g} "
+            f"> {TUPLE_MAX_EXPONENT} (m={m}, n={n})"
         )
     return spec, [discretize(comp, n) for comp in spec.components]
 

@@ -560,11 +560,6 @@ class GridSpec(CopulaSpec):
             and np.array_equal(self.masses, other.masses)
         )
 
-    def densities(self) -> np.ndarray:
-        """Cell densities n^2 * masses (the discrete stand-in for c(x, y))."""
-        n = self.resolution
-        return (n * n) * self.masses
-
     def cdf(self, x, y):
         n = self.resolution
         nodes = np.zeros((n + 1, n + 1))

@@ -263,6 +263,19 @@ def test_mixture_bound_validation():
         verify_mixture_bound([0.5, 0.5], [M, PI], "rho", 14, 8)
 
 
+def test_tuple_exponent_budget_edge():
+    # (m + 1) * log2(n) may reach 1022: m = 339 at n = 8 (1020) and
+    # m = 1021 at n = 2 (1022) run, m = 340 at n = 8 (1023) is refused.
+    # m = 1021 is deeper than the interpreter's recursion limit, which the
+    # tuple walk must not depend on.
+    one = [Frechet(a=0.2, b=0.3)]
+    for m, n in ((339, 8), (1021, 2)):
+        assert tuple_decomposition_check([1.0], one, m, n).satisfied
+        assert verify_mixture_bound([1.0], one, "rho", m, n).satisfied
+    with pytest.raises(ValidationError, match="exponent budget"):
+        tuple_decomposition_check([1.0], one, 340, 8)
+
+
 # --- the pruned tuple search against the exhaustive one -------------------------
 
 COEFFICIENTS = ("rho", "psi_prime", "phi", "beta")

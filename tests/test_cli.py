@@ -173,6 +173,25 @@ def test_verify_tuple_decomposition_needs_mixture(frechet_file, capsys):
     assert "mixture" in err["message"]
 
 
+@pytest.mark.parametrize("theorem", ["mixture-rho", "tuple-decomposition"])
+def test_verify_tuple_exponent_budget(theorem, tmp_path, capsys, monkeypatch):
+    # (m + 1) * log2(n) = 401 * 3 > 1022: tuple entries near 8^-401 would
+    # fall below the smallest normal double. Refused before discretizing.
+    spec = tmp_path / "one.json"
+    spec.write_text(
+        '{"type": "mixture", "weights": [1.0],'
+        ' "components": [{"type": "frechet", "a": 0.2, "b": 0.3}]}'
+    )
+    monkeypatch.setattr(bounds, "discretize", None)
+    code = run(
+        ["verify", "--theorem", theorem, "--spec", str(spec), "--m", "400", "--n", "8"]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert "exponent budget" in err["message"]
+
+
 def test_verify_exponential_rate(frechet_file, capsys):
     code = run(
         ["verify", "--theorem", "exponential-rate", "--spec", frechet_file, "--n", "16"]

@@ -297,9 +297,10 @@ def test_psi_prime_fold_lower_bound_from_min_density():
             components=(MarshallOlkin(a=0.4, b=0.4), Independence()),
         ),
     ]
+    n = 8
     for spec in specs:
-        g = discretize(spec, 8)
-        c = float(g.densities().min())
+        g = discretize(spec, n)
+        c = float((n * n * g.masses).min())
         assert c > 0.0
         for m in range(1, 6):
             assert psi_prime(fold_power(g, m)) >= c - 1e-12

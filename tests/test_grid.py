@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from copula_lab import (
 )
 from copula_lab import grid
 from copula_lab.errors import OutputError
+from copula_lab.families import _REGISTRY
 from copula_lab.grid import MAX_RESOLUTION, lag_walk, open_output
 
 from conftest import sinkhorn_grid
@@ -120,11 +122,6 @@ def test_discretize_rejects_resolution_over_budget_before_allocating(monkeypatch
             discretize(Independence(), n)
     with pytest.raises(Allocated):
         discretize(Independence(), MAX_RESOLUTION)
-
-
-def test_densities_scale_masses():
-    g = discretize(Frechet(a=0.2, b=0.3), 2)
-    assert np.array_equal(g.densities(), 4.0 * g.masses)
 
 
 # --- fold product ----------------------------------------------------------
@@ -353,6 +350,102 @@ def test_grid_csv_writer_matches_per_value_format(tmp_path):
         write_grid_csv(g, str(path))
         rows = [",".join(format(v, ".17g") for v in row) + "\n" for row in g.masses]
         assert path.read_text(encoding="ascii") == f"{g.resolution}\n" + "".join(rows)
+
+
+def _plain_grid_text(resolution: int, masses: np.ndarray) -> str:
+    """The grid CSV written one cell at a time with the ``.17g`` format."""
+    rows = [",".join(format(v, ".17g") for v in row) + "\n" for row in masses.tolist()]
+    return f"{resolution}\n" + "".join(rows)
+
+
+def _assert_writes_plain_text(g, path, monkeypatch) -> str:
+    """Both writer paths give the plain per-cell text; returns that text."""
+    want = _plain_grid_text(g.resolution, g.masses)
+    with monkeypatch.context() as patch:
+        for share in (0.0, 1.0):  # always cell by cell, always deduped
+            patch.setattr(grid, "DEDUPE_MAX_DISTINCT", share)
+            write_grid_csv(g, str(path))
+            assert path.read_text(encoding="ascii") == want, share
+    return want
+
+
+def _assert_round_trip(path) -> None:
+    """Reading a written grid and writing it again changes no byte."""
+    text = path.read_bytes()
+    back = read_grid_csv(str(path))
+    again = path.with_name("again.csv")
+    write_grid_csv(back, str(again))
+    assert again.read_bytes() == text
+
+
+def test_grid_csv_writer_matches_plain_formatter_on_every_family(tmp_path, monkeypatch):
+    base = tmp_path / "base.csv"
+    write_grid_csv(sinkhorn_grid(np.random.default_rng(8), 5), str(base))
+    specs = [
+        Independence(),
+        HoeffdingLower(),
+        HoeffdingUpper(),
+        Frechet(a=0.2, b=0.3),
+        Mardia(theta=-0.4),
+        MarshallOlkin(a=0.3, b=0.6),
+        Mixture(
+            weights=(0.3, 0.3, 0.4),
+            components=(Frechet(a=0.45, b=0.5), Mardia(theta=0.6), MarshallOlkin(a=0.3, b=0.6)),
+        ),
+        read_grid_csv(str(base)),
+    ]
+    assert {s.type_name for s in specs} == set(_REGISTRY)
+    path = tmp_path / "grid.csv"
+    for spec in specs:
+        for n in (7, 64):
+            g = discretize(spec, n)
+            _assert_writes_plain_text(g, path, monkeypatch)
+            _assert_round_trip(path)
+
+
+def test_grid_csv_writer_matches_plain_formatter_at_1024(tmp_path):
+    g = discretize(MarshallOlkin(a=0.3, b=0.6), 1024)
+    path = tmp_path / "grid.csv"
+    want = _plain_grid_text(1024, g.masses)
+    write_grid_csv(g, str(path))
+    assert path.read_text(encoding="ascii") == want
+
+
+def test_grid_csv_writer_falls_back_on_all_distinct_grids(tmp_path, monkeypatch):
+    g = sinkhorn_grid(np.random.default_rng(9), 64)
+    distinct = np.unique(g.masses.view(np.uint64)).size
+    assert distinct > grid.DEDUPE_MAX_DISTINCT * 64 * 64
+    path = tmp_path / "grid.csv"
+    _assert_writes_plain_text(g, path, monkeypatch)
+    _assert_round_trip(path)
+
+
+def test_grid_csv_writer_on_negative_zero_subnormal_and_repeated_cells(tmp_path, monkeypatch):
+    # -0 cells, the two smallest subnormals and repeated masses, read
+    # from a hand-written file; 0.25 - 2^-53 + 2^-53 sums to 0.25 exactly.
+    tiny = 2.0**-53
+    text = (
+        "4\n"
+        "0.25,-0,-0,0\n"
+        f"-0,{0.25 - tiny!r},{tiny!r},5e-324\n"
+        f"0,{tiny!r},{0.25 - tiny!r},1e-323\n"
+        "0,-0,0,0.25\n"
+    )
+    src = tmp_path / "src.csv"
+    src.write_text(text, encoding="ascii")
+    g = read_grid_csv(str(src))
+    path = tmp_path / "grid.csv"
+    _assert_writes_plain_text(g, path, monkeypatch)
+    _assert_round_trip(path)
+    # GridSpec validation turns -0.0 into 0.0, so the writer's own
+    # handling of -0.0 shows only on a bare mass array: keyed on bits,
+    # -0.0 and 0.0 stay two masses, printed "-0" and "0".
+    signed = np.array(g.masses)
+    signed[0, 1] = signed[1, 0] = -0.0
+    bare = SimpleNamespace(resolution=4, masses=signed)
+    rows = _assert_writes_plain_text(bare, path, monkeypatch).splitlines()
+    assert rows[1] == "0.25,-0,0,0"
+    assert rows[2].startswith("-0,")
 
 
 def test_grid_csv_rejects_malformed(tmp_path):
