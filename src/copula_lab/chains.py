@@ -12,6 +12,10 @@ marginal. Two design points matter for the empirical checks downstream:
   always consumes the same two words (branch decision, fresh value),
   so chains with different marginals but one seed are couplings of the
   same uniform chain.
+
+The spec turns the two word arrays into the states
+(``CopulaSpec.walk``): a step loop by default, array operations for
+Frechet-type specs, whose steps depend on the decision word only.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .families import CopulaSpec, _require_int, _require_spec
-from .grid import _require_resolution
+from .grid import MAX_RESOLUTION, _require_resolution
 
 __all__ = [
     "Marginal",
@@ -36,6 +40,10 @@ __all__ = [
 ]
 
 LATTICE = float(2**53)
+
+# Most steps a chain may take: one float64 array of them fills the
+# 512 MiB per-array memory budget of a grid at MAX_RESOLUTION (2^26).
+MAX_STEPS = MAX_RESOLUTION * MAX_RESOLUTION
 
 
 def _normal_quantile(u: np.ndarray, mu: float, sigma: float) -> np.ndarray:
@@ -127,11 +135,17 @@ def sample_chain(
     """Simulate a stationary chain of the given length.
 
     X_0 is uniform; X_{t+1} inverts the conditional CDF at X_t using the
-    two Philox words of step t (branch decision and fresh value). The
-    uniform path is transformed through the marginal quantile at the
-    end, so one seed yields coupled chains across marginals.
+    two Philox words of step t + 1 (branch decision and fresh value);
+    ``spec.walk`` computes the states. The uniform path is transformed
+    through the marginal quantile at the end, so one seed yields
+    coupled chains across marginals. More than ``MAX_STEPS`` steps are
+    rejected before anything is allocated.
     """
-    _require_int(steps, "steps", 2)
+    if _require_int(steps, "steps", 2) > MAX_STEPS:
+        raise ValidationError(
+            f"steps {steps} is above {MAX_STEPS}, the limit set by the 512 MiB "
+            f"memory budget for one array of 8-byte values"
+        )
     if _require_int(seed, "seed", 0) >= 2**64:
         raise ValidationError(f"seed must be a 64-bit unsigned integer (got {seed!r})")
     _require_spec(spec)
@@ -142,11 +156,7 @@ def sample_chain(
     # k/2^53 keep 1 - x exact (see module docstring).
     decisions = rng.integers(0, 2**53, size=steps) / LATTICE
     values = rng.integers(1, 2**53, size=steps) / LATTICE
-    u = np.empty(steps)
-    u[0] = values[0]
-    step = spec.step
-    for t in range(1, steps):
-        u[t] = step(float(u[t - 1]), float(decisions[t]), float(values[t]))
+    u = spec.walk(decisions, values)
     return ChainSample(
         values=marginal.quantile(u), seed=seed, spec=spec, marginal=marginal
     )

@@ -173,21 +173,33 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _read_chain(path: str) -> tuple[np.ndarray, str]:
+    """The values of a chain file, one per line (blank lines skipped), and its SHA-256.
+
+    The lines are gone when this returns, before the statistics allocate.
+    """
+    data = Path(path).read_bytes()
+    lines = _decode_ascii(data, path).splitlines()
+    try:
+        values = np.fromiter(map(float, filter(None, map(str.strip, lines))), float)
+    except ValueError:
+        # Name the first bad line, counting blank lines.
+        for k, line in enumerate(map(str.strip, lines), start=1):
+            if line:
+                try:
+                    float(line)
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"chain file {path!r}: non-numeric line {k}"
+                    ) from exc
+        raise
+    return values, hashlib.sha256(data).hexdigest()
+
+
 def _cmd_lagstats(args) -> int:
-    data = Path(args.infile).read_bytes()
-    values = []
-    for k, line in enumerate(_decode_ascii(data, args.infile).splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise ValidationError(
-                f"chain file {args.infile!r}: non-numeric line {k}"
-            ) from exc
+    values, digest = _read_chain(args.infile)
     sample = ChainSample(
-        values=np.array(values), seed=0, spec=None, marginal=Marginal(kind="uniform")
+        values=values, seed=0, spec=None, marginal=Marginal(kind="uniform")
     )
     # "auto" uses ranks: a file carries no marginal provenance, and the
     # rank pipeline is correct for every marginal including uniform.
@@ -196,7 +208,7 @@ def _cmd_lagstats(args) -> int:
     payload = dataclasses.asdict(stats)
     payload.update(counts=stats.counts.tolist(), use_ranks=use_ranks)
     _write_json(args.out, payload)
-    _write_manifest(args, hashlib.sha256(data).hexdigest())
+    _write_manifest(args, digest)
     return 0
 
 

@@ -23,6 +23,13 @@ Every family derives from :class:`CopulaSpec` and implements
 * ``step(x, decision, value)``  one chain step from state x, given the two
                                 Philox words of the step; every family
                                 samples exactly and there is no default
+* ``branches(decisions)``       for Frechet-type specs, the (reflect, fresh)
+                                masks the decision words pick; None (the
+                                default) for every other spec
+* ``walk(decisions, values)``   the states of a whole chain; the default
+                                runs ``step`` in a loop, or, when
+                                ``branches`` gives masks, builds the states
+                                from them in array operations
 * ``to_json(canonical)``        the JSON form; the default writes
                                 ``type_name`` and the ``json_fields``
 
@@ -54,6 +61,7 @@ the marker never propagates into grids or reports.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -144,6 +152,48 @@ class CopulaSpec:
         cdf = self.cdf(edges[:, None], edges[None, :])
         return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
 
+    def branches(self, decisions: np.ndarray):
+        """Reflect and fresh masks over the decision words, or None.
+
+        Frechet-type specs step from x to 1 - x (reflect), to the value
+        word (fresh) or back to x (copy), as the decision word alone
+        says. The default None says a step depends on more, and sends
+        ``walk`` to the step loop.
+        """
+        return None
+
+    def walk(self, decisions: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """States X_0 = values[0], X_t = step(X_{t-1}, decisions[t], values[t]).
+
+        When ``branches`` gives masks, X_t is values[s] or 1 - values[s]
+        for the last fresh step s <= t (step 0 counts as fresh), reflected
+        when an odd number of reflections followed s. Reflection is an
+        involution on the k/2^53 lattice of the values, so this is the
+        loop's result bit for bit.
+        """
+        masks = self.branches(decisions[1:])
+        if masks is None:
+            step = self.step
+            x = float(values[0])
+            states = [x]
+            append = states.append
+            for d, v in zip(decisions[1:].tolist(), values[1:].tolist()):
+                x = step(x, d, v)
+                append(x)
+            return np.array(states)
+        reflect, fresh = masks
+        fresh_steps = np.flatnonzero(fresh) + 1
+        start = np.zeros(values.size, dtype=np.intp)
+        start[fresh_steps] = fresh_steps
+        np.maximum.accumulate(start, out=start)
+        flips = np.zeros(values.size, dtype=np.intp)
+        np.cumsum(reflect, out=flips[1:])
+        flips -= flips[start]
+        states = values[start]
+        odd = (flips & 1).astype(bool)
+        states[odd] = 1.0 - states[odd]
+        return states
+
     def to_json(self, canonical: bool = False) -> dict:
         """JSON-ready dict; ``canonical`` asks for the form digests hash."""
         return {"type": self.type_name, **{f: getattr(self, f) for f in self.json_fields}}
@@ -177,6 +227,9 @@ class Independence(CopulaSpec):
     def step(self, x: float, decision: float, value: float) -> float:
         return value
 
+    def branches(self, decisions: np.ndarray):
+        return np.full(decisions.shape, False), np.full(decisions.shape, True)
+
 
 @dataclass(frozen=True)
 class HoeffdingLower(CopulaSpec):
@@ -199,6 +252,9 @@ class HoeffdingLower(CopulaSpec):
     def step(self, x: float, decision: float, value: float) -> float:
         return 1.0 - x
 
+    def branches(self, decisions: np.ndarray):
+        return np.full(decisions.shape, True), np.full(decisions.shape, False)
+
 
 @dataclass(frozen=True)
 class HoeffdingUpper(CopulaSpec):
@@ -220,6 +276,9 @@ class HoeffdingUpper(CopulaSpec):
 
     def step(self, x: float, decision: float, value: float) -> float:
         return x
+
+    def branches(self, decisions: np.ndarray):
+        return np.full(decisions.shape, False), np.full(decisions.shape, False)
 
 
 @dataclass(frozen=True)
@@ -296,6 +355,9 @@ class Frechet(CopulaSpec):
         if decision < self.a + self.b:
             return x
         return value
+
+    def branches(self, decisions: np.ndarray):
+        return decisions < self.a, decisions >= self.a + self.b
 
 
 @dataclass(frozen=True, init=False)
@@ -485,6 +547,24 @@ class Mixture(CopulaSpec):
             low += w
         raise AssertionError("unreachable: weights sum to 1")
 
+    def branches(self, decisions: np.ndarray):
+        # ``step`` on every word at once, with the same float operations.
+        reflect = np.zeros(decisions.shape, dtype=bool)
+        fresh = np.zeros(decisions.shape, dtype=bool)
+        todo = np.ones(decisions.shape, dtype=bool)
+        low = 0.0
+        last = len(self.components) - 1
+        for i, (w, comp) in enumerate(zip(self.weights, self.components)):
+            pick = todo if i == last else todo & (decisions < low + w)
+            sub = np.minimum(np.maximum((decisions[pick] - low) / w, 0.0), 1.0 - 2.0**-53)
+            masks = comp.branches(sub)
+            if masks is None:
+                return None
+            reflect[pick], fresh[pick] = masks
+            todo &= ~pick
+            low += w
+        return reflect, fresh
+
     def to_json(self, canonical: bool = False) -> dict:
         return {
             "type": self.type_name,
@@ -600,20 +680,30 @@ class GridSpec(CopulaSpec):
         return n * n * float(self.masses.min())
 
     def cell_masses(self, n: int) -> np.ndarray:
-        if n == self.resolution:
+        # P @ masses @ P.T with P[f, c] = r * |new cell f & cell c|, the
+        # exact law of a density uniform within each cell. P is counted
+        # in whole units of 1/(n r), so it is nonnegative and exactly 0
+        # off the overlaps: cells only empty cells reach get exactly 0,
+        # where inclusion-exclusion of the CDF left dust of either sign.
+        r = self.resolution
+        if n == r:
             return self.masses.copy()
-        return super().cell_masses(n)
+        fine = np.arange(n + 1)[:, None] * r
+        coarse = np.arange(r + 1)[None, :] * n
+        overlap = np.minimum(fine[1:], coarse[:, 1:]) - np.maximum(fine[:-1], coarse[:, :-1])
+        share = np.maximum(overlap, 0) / n
+        return share @ self.masses @ share.T
 
     @cached_property
-    def _row_cdf(self) -> np.ndarray:
+    def _row_cdf(self) -> list[list[float]]:
         # Each row's conditional CDF at the cell edges, built once on the
-        # first step.
-        return np.cumsum(self.resolution * self.masses, axis=1)
+        # first step, as lists for bisect (searchsorted side="right").
+        return np.cumsum(self.resolution * self.masses, axis=1).tolist()
 
     def step(self, x: float, decision: float, value: float) -> float:
         n = self.resolution
         i = min(max(math.ceil(x * n) - 1, 0), n - 1)
-        j = min(int(np.searchsorted(self._row_cdf[i], decision, side="right")), n - 1)
+        j = min(bisect.bisect_right(self._row_cdf[i], decision), n - 1)
         return (j + value) / n
 
     def to_json(self, canonical: bool = False) -> dict:

@@ -62,7 +62,7 @@ def discretize(spec: CopulaSpec, n: int) -> GridCopula:
 
     Cell masses are exact: singular parts are captured by CDF
     inclusion-exclusion, and families with closed-form grids (the
-    Frechet members, mixtures of them, grids at their own resolution)
+    Frechet members, mixtures of them, grid specs at any resolution)
     supply those. Resolutions above ``MAX_RESOLUTION`` are rejected
     before anything is allocated.
     """

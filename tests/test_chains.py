@@ -11,6 +11,7 @@ from copula_lab import (
     HoeffdingLower,
     HoeffdingUpper,
     Independence,
+    Mardia,
     Marginal,
     MarshallOlkin,
     Mixture,
@@ -22,6 +23,8 @@ from copula_lab import (
     marginal_invariance_check,
     sample_chain,
 )
+from copula_lab.chains import MAX_STEPS
+from copula_lab.families import _REGISTRY
 
 
 def binomial_3sigma(p: float, pairs: int) -> float:
@@ -164,6 +167,100 @@ def test_grid_spec_step_matches_per_row_cumsum():
                 assert spec.step(x, decision, value) == _grid_step_reference(
                     spec, x, decision, value
                 )
+
+
+# --- whole-chain walks against the step loop -------------------------------------
+
+def _loop_walk(spec, decisions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # The step loop sample_chain ran before specs walked whole chains.
+    u = np.empty(values.size)
+    u[0] = values[0]
+    for t in range(1, values.size):
+        u[t] = spec.step(float(u[t - 1]), float(decisions[t]), float(values[t]))
+    return u
+
+
+def _philox_words(steps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    decisions = rng.integers(0, 2**53, size=steps) / 2.0**53
+    values = rng.integers(1, 2**53, size=steps) / 2.0**53
+    return decisions, values
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_MO_GRID = discretize(Mixture((0.5, 0.5), (MarshallOlkin(a=0.3, b=0.6), Independence())), 8)
+WALK_SPECS = {
+    "independence": Independence(),
+    "w": HoeffdingLower(),
+    "m": HoeffdingUpper(),
+    "frechet": Frechet(a=0.2, b=0.3),
+    "frechet-no-pi": Frechet(a=0.5, b=0.5),
+    "mardia": Mardia(theta=-0.4),
+    "marshall-olkin": MarshallOlkin(a=0.3, b=0.6),
+    "grid": _MO_GRID,
+    "mixture": Mixture(
+        (0.3, 0.3, 0.4), (Frechet(a=0.2, b=0.5), HoeffdingUpper(), Independence())
+    ),
+    "nested-mixture": Mixture(
+        (0.25, 0.75),
+        (Mixture((0.5, 0.5), (HoeffdingUpper(), HoeffdingLower())), Mardia(theta=0.8)),
+    ),
+    "mixture-with-marshall-olkin": Mixture(
+        (0.5, 0.5), (MarshallOlkin(a=0.3, b=0.6), Frechet(a=0.1, b=0.2))
+    ),
+    "mixture-with-grid": Mixture((0.6, 0.4), (_MO_GRID, HoeffdingLower())),
+}
+
+
+def test_walk_specs_cover_the_registry():
+    assert {spec.type_name for spec in WALK_SPECS.values()} == set(_REGISTRY)
+
+
+@pytest.mark.parametrize("name", list(WALK_SPECS))
+def test_sample_chain_matches_the_step_loop(name):
+    spec = WALK_SPECS[name]
+    for seed in (11, 2**64 - 1):
+        want = _loop_walk(spec, *_philox_words(3000, seed))
+        assert _same_bits(sample_chain(spec, 3000, seed).values, want)
+
+
+def test_walk_keeps_the_step_boundaries():
+    # Decision words on and next to the branch and component boundaries,
+    # and the largest word, where (d - low) / w of a last component whose
+    # weights sum to just under 1 exceeds 1 and needs the 1 - 2^-53 clamp.
+    specs = [
+        Frechet(a=0.25, b=0.25),
+        Mixture((0.5, 0.5), (HoeffdingLower(), HoeffdingUpper())),
+        Mixture((0.5, 0.5 - 1e-13), (HoeffdingLower(), Frechet(a=0.5, b=0.5))),
+        Mixture(
+            (0.25, 0.75),
+            (Mixture((0.5, 0.5), (HoeffdingUpper(), HoeffdingLower())), Frechet(a=0.5, b=0.5)),
+        ),
+    ]
+    edges = np.array([0.0, 0.125, 0.25, 0.5, 1.0 - 2.0**-53])
+    words = np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges[:-1], 1.0)])
+    rng = np.random.default_rng(3)
+    decisions = rng.permutation(np.tile(words, 40))
+    values = rng.integers(1, 2**53, size=decisions.size) / 2.0**53
+    for spec in specs:
+        want = _loop_walk(spec, decisions, values)
+        assert _same_bits(spec.walk(decisions, values), want)
+
+
+def test_sample_chain_steps_budget(monkeypatch):
+    # Philox raising stands in for the allocation of the chain's words.
+    def allocate(*a, **k):
+        raise AssertionError("chain words allocated")
+
+    monkeypatch.setattr(np.random, "Philox", allocate)
+    for steps in (MAX_STEPS + 1, 10**15):
+        with pytest.raises(ValidationError, match="memory budget"):
+            sample_chain(Independence(), steps, 0)
+    with pytest.raises(AssertionError, match="allocated"):
+        sample_chain(Independence(), MAX_STEPS, 0)
 
 
 def test_sample_chain_validation():

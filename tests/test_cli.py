@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -388,6 +389,59 @@ def test_lagstats_rejects_non_numeric_chain(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
+def _lagstats_of(tmp_path, text: str, newline: str = "\n") -> int:
+    chain = tmp_path / "chain.csv"
+    chain.write_bytes(text.replace("\n", newline).encode("ascii"))
+    return run(["lagstats", "--in", str(chain), "--lag", "1", "--grid-n", "2",
+                "--out", str(tmp_path / "stats.json")])
+
+
+def test_lagstats_skips_blank_lines_and_padding(tmp_path):
+    assert _lagstats_of(tmp_path, "0.1\n0.5\n0.9\n0.3\n") == 0
+    plain = (tmp_path / "stats.json").read_bytes()
+    assert _lagstats_of(tmp_path, "\n  0.1\n\n\t0.5  \n \n0.9\n0.3\n\n") == 0
+    assert (tmp_path / "stats.json").read_bytes() == plain
+    assert _lagstats_of(tmp_path, "0.1\n0.5\n0.9\n0.3\n", newline="\r\n") == 0
+    assert (tmp_path / "stats.json").read_bytes() == plain
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("0.1 0.2\n0.5\n0.9\n", 1), ("0.5\n\n0.7\n\nmoose\nfoo\n", 5), ("0.5\r\n\r\n1,5\r\n", 3)],
+    ids=["inner-space", "blank-lines-count", "crlf"],
+)
+def test_lagstats_names_the_first_bad_line(tmp_path, capsys, text, line):
+    assert _lagstats_of(tmp_path, text) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert err["message"].endswith(f"non-numeric line {line}")
+
+
+def _parse_loop(path: str) -> tuple[np.ndarray, str]:
+    # The line-at-a-time parse lagstats used before np.fromiter.
+    data = open(path, "rb").read()
+    values = []
+    for line in data.decode("ascii").splitlines():
+        line = line.strip()
+        if line:
+            values.append(float(line))
+    return np.array(values), hashlib.sha256(data).hexdigest()
+
+
+def test_lagstats_parse_matches_the_line_loop(tmp_path, frechet_file, monkeypatch):
+    chain = str(tmp_path / "chain.csv")
+    assert run(["simulate", "--spec", frechet_file, "--steps", "100000", "--seed", "5",
+                "--marginal", "normal:0.5,2", "--out", chain]) == 0
+    out = tmp_path / "stats.json"
+    argv = ["lagstats", "--in", chain, "--lag", "2", "--out", str(out)]
+    outputs = []
+    for parse in (cli._read_chain, _parse_loop):
+        monkeypatch.setattr(cli, "_read_chain", parse)
+        assert run(argv) == 0
+        outputs.append((out.read_bytes(), (tmp_path / "stats.json.manifest.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("ranks", ["auto", "yes", "no"])
 def test_lagstats_rejects_non_finite_chain_values(tmp_path, capsys, ranks):
     chain = tmp_path / "bad.csv"
@@ -502,6 +556,21 @@ def test_absurd_resolution_is_validation_error(tmp_path, frechet_file, capsys, m
             capsys, [command, "--spec", frechet_file, "--n", "100000", "--out", out]
         )
         assert not os.path.exists(out)
+
+
+def test_absurd_steps_is_validation_error(tmp_path, frechet_file, capsys, monkeypatch):
+    # Philox raising stands in for the 7 PiB of words of 10^15 steps.
+    def allocate(*a, **k):
+        raise AssertionError("chain words allocated")
+
+    monkeypatch.setattr(chains.np.random, "Philox", allocate)
+    out = tmp_path / "chain.csv"
+    for steps in (str(chains.MAX_STEPS + 1), "1000000000000000"):
+        _assert_validation_error(
+            capsys, ["simulate", "--spec", frechet_file, "--steps", steps, "--seed", "1",
+                     "--out", str(out)]
+        )
+        assert not out.exists()
 
 
 def test_absurd_lagstats_grid_is_validation_error(tmp_path, capsys, monkeypatch):
