@@ -47,7 +47,7 @@ from .families import (
     _require_spec,
     frechet_fold_params,
 )
-from .grid import GridCopula, discretize, fold_power, lag_walk, mix_grids
+from .grid import GridCopula, _require_lag, discretize, fold_power, lag_walk, mix_grids
 from .coefficients import beta, phi, psi, psi_prime, rho
 
 __all__ = [
@@ -434,10 +434,12 @@ def exponential_rate_table(
     """Tabulate 1 - psi_prime at lags m, 2m, ... up to max_lag.
 
     Requires psi_prime > 0 at lag m on the grid (otherwise the
-    hypothesis fails and the table is flagged not-applicable).
+    hypothesis fails and the table is flagged not-applicable). A
+    ``max_lag`` above ``grid.MAX_RESOLUTION`` is refused before anything
+    is discretized.
     """
     m = _require_int(m, "m")
-    max_lag = _require_int(max_lag, "max_lag")
+    max_lag = _require_lag(max_lag, "max_lag")
     if max_lag < m:
         raise ValidationError(f"max_lag {max_lag} is below the base lag m = {m}")
     base = discretize(spec, n)

@@ -20,8 +20,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +34,15 @@ from .chains import ChainSample, Marginal, empirical_lag_stats, sample_chain
 from .coefficients import report
 from .errors import NumericalError, OutputError, ValidationError
 from .families import CopulaSpec, Frechet, parse_spec, spec_digest
-from .grid import discretize, open_output, write_grid_csv
+from .grid import MAX_RESOLUTION, _require_lag, discretize, open_output, write_grid_csv
 
 __all__ = ["run", "main", "parse_lag_list"]
+
+
+# Chain files are written _FORMAT_BLOCK values and read _READ_BLOCK bytes
+# at a time, so their text is never held whole.
+_FORMAT_BLOCK = 1 << 16
+_READ_BLOCK = 1 << 20
 
 
 class UsageError(Exception):
@@ -49,7 +57,9 @@ class _Parser(argparse.ArgumentParser):
 def parse_lag_list(text: str) -> list[int]:
     """Parse lag syntax: comma-separated integers and inclusive A..B ranges.
 
-    The combined list must be strictly ascending positive integers.
+    The combined list must be strictly ascending positive integers, at
+    most ``grid.MAX_RESOLUTION`` of them and none above it. Ranges are
+    sized against that budget before they are expanded.
     """
     lags: list[int] = []
     for token in text.split(","):
@@ -60,11 +70,16 @@ def parse_lag_list(text: str) -> list[int]:
                 lo, hi = int(lo_text), int(hi_text)
                 if lo > hi:
                     raise ValidationError(f"empty lag range {token!r}")
-                lags.extend(range(lo, hi + 1))
             else:
-                lags.append(int(token))
+                lo = hi = int(token)
         except ValueError as exc:
             raise ValidationError(f"bad lag token {token!r}") from exc
+        if hi - lo >= MAX_RESOLUTION - len(lags):
+            raise ValidationError(
+                f"lag token {token!r} takes the list past {MAX_RESOLUTION} lags, "
+                f"the lag budget"
+            )
+        lags.extend(range(lo, hi + 1))
     if not lags:
         raise ValidationError("lag list is empty")
     for lag in lags:
@@ -72,6 +87,7 @@ def parse_lag_list(text: str) -> list[int]:
             raise ValidationError(f"lags must be >= 1 (got {lag})")
     if any(b <= a for a, b in zip(lags, lags[1:])):
         raise ValidationError(f"lags must be strictly ascending (got {lags})")
+    _require_lag(lags[-1], "lag")
     return lags
 
 
@@ -165,18 +181,20 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
-    sample = sample_chain(spec, args.steps, args.seed, args.marginal)
-    values = sample.values.tolist()
-    text = ("%.17g\n" * len(values)) % tuple(values)
-    _write_text(args.out, text)
+    values = sample_chain(spec, args.steps, args.seed, args.marginal).values
+    with open_output(args.out) as fh:
+        for lo in range(0, len(values), _FORMAT_BLOCK):
+            block = values[lo : lo + _FORMAT_BLOCK].tolist()
+            fh.write(("%.17g\n" * len(block)) % tuple(block))
     _write_manifest(args, spec_digest(spec))
     return 0
 
 
-def _read_chain(path: str) -> tuple[np.ndarray, str]:
-    """The values of a chain file, one per line (blank lines skipped), and its SHA-256.
+def _read_chain_whole(path: str) -> tuple[np.ndarray, str]:
+    """The values and SHA-256 of a chain file, parsed from its whole text.
 
-    The lines are gone when this returns, before the statistics allocate.
+    A non-ASCII byte is reported with its position in the file, and a
+    bad line by its number with blank lines counted.
     """
     data = Path(path).read_bytes()
     lines = _decode_ascii(data, path).splitlines()
@@ -196,11 +214,49 @@ def _read_chain(path: str) -> tuple[np.ndarray, str]:
     return values, hashlib.sha256(data).hexdigest()
 
 
+def _chain_pieces(fh, sha) -> Iterator[str]:
+    """The text of ``fh`` in pieces that end after a ``\\n`` (the last may not).
+
+    Every block read is fed to ``sha``. A piece never splits a line, so
+    ``str.splitlines`` of the pieces gives the lines of the whole text.
+    """
+    pending: list[bytes] = []
+    while block := fh.read(_READ_BLOCK):
+        sha.update(block)
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            pending.append(block[:cut])
+            yield b"".join(pending).decode("ascii")
+            pending = [block[cut:]]
+        else:
+            pending.append(block)
+    yield b"".join(pending).decode("ascii")
+
+
+def _read_chain(path: str) -> tuple[np.ndarray, str]:
+    """The values of a chain file, one per line (blank lines skipped), and its SHA-256.
+
+    The file is read and parsed one block at a time, so besides the
+    values only one block's text and lines are held. A file that does
+    not parse is read again whole by ``_read_chain_whole``, which names
+    the fault.
+    """
+    sha = hashlib.sha256()
+    try:
+        with Path(path).open("rb") as fh:
+            lines = itertools.chain.from_iterable(map(str.splitlines, _chain_pieces(fh, sha)))
+            values = np.fromiter(map(float, filter(None, map(str.strip, lines))), float)
+    except (UnicodeDecodeError, ValueError):
+        return _read_chain_whole(path)
+    return values, sha.hexdigest()
+
+
 def _cmd_lagstats(args) -> int:
     values, digest = _read_chain(args.infile)
     sample = ChainSample(
         values=values, seed=0, spec=None, marginal=Marginal(kind="uniform")
     )
+    del values  # the sample holds its own copy
     # "auto" uses ranks: a file carries no marginal provenance, and the
     # rank pipeline is correct for every marginal including uniform.
     use_ranks = args.ranks in ("auto", "yes")

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .families import CopulaSpec, _require_int
-from .grid import GridCopula, discretize, lag_walk
+from .grid import GridCopula, _require_lag, discretize, lag_walk
 
 __all__ = [
     "rho",
@@ -312,7 +312,8 @@ def _row_for_lag(lag: int, g: GridCopula) -> MixingRow:
 def report(spec: CopulaSpec, n: int, lags) -> MixingReport:
     """Discretize a spec and tabulate all five coefficients per lag.
 
-    ``lags`` must be nonempty, strictly ascending positive integers.
+    ``lags`` must be nonempty, strictly ascending positive integers, the
+    last at most ``grid.MAX_RESOLUTION``.
     Lag-m grids are built by sequential fold products, matching the
     one-step composition that defines the chain.
     """
@@ -323,9 +324,11 @@ def report(spec: CopulaSpec, n: int, lags) -> MixingReport:
         _require_int(lag, "lag")
     if any(b <= a for a, b in zip(lags, lags[1:])):
         raise ValidationError(f"lags must be strictly ascending (got {lags})")
+    _require_lag(lags[-1], "lag")
     base = discretize(spec, n)
+    wanted = set(lags)
     rows = []
     for lag, g in lag_walk(base, 1, lags[-1]):
-        if lag in lags:
+        if lag in wanted:
             rows.append(_row_for_lag(lag, g))
     return MixingReport(resolution=base.resolution, rows=tuple(rows))

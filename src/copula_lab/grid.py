@@ -82,6 +82,17 @@ def _require_resolution(n, name: str) -> int:
     return n
 
 
+def _require_lag(lag, name: str) -> int:
+    """Check that a lag fits the budget: a lag walk folds once per step."""
+    lag = _require_int(lag, name)
+    if lag > MAX_RESOLUTION:
+        raise ValidationError(
+            f"{name} {lag} is above {MAX_RESOLUTION}, the lag budget "
+            f"(one fold product per step of a lag walk)"
+        )
+    return lag
+
+
 def fold_product(g1: GridCopula, g2: GridCopula) -> GridCopula:
     """Fold product of two grids: masses = n * (M1 @ M2).
 

@@ -20,7 +20,7 @@ from copula_lab import (
     sample_chain,
     spec_to_json,
 )
-from copula_lab import bounds, chains, cli, grid
+from copula_lab import bounds, chains, cli, coefficients, grid
 from copula_lab.cli import parse_lag_list, run
 
 FRECHET_JSON = '{"type": "frechet", "a": 0.2, "b": 0.3}\n'
@@ -588,6 +588,64 @@ def test_absurd_lagstats_grid_is_validation_error(tmp_path, capsys, monkeypatch)
                      "--out", str(out)]
         )
         assert not out.exists()
+
+
+def _bounded_range(*args):
+    # Stands in for range() in parse_lag_list: a huge lag range fails
+    # here instead of allocating.
+    lags = range(*args)
+    if len(lags) > grid.MAX_RESOLUTION:
+        raise AssertionError(f"lag range of {len(lags)} built")
+    return lags
+
+
+def test_parse_lag_list_budget(monkeypatch):
+    from copula_lab import ValidationError
+
+    monkeypatch.setattr(cli, "range", _bounded_range, raising=False)
+    top = grid.MAX_RESOLUTION
+    assert parse_lag_list(f"{top}") == [top]
+    assert parse_lag_list(f"1..{top}") == list(range(1, top + 1))
+    assert parse_lag_list(f"1,{top - 1}..{top}") == [1, top - 1, top]
+    for text in (f"{top + 1}", f"1..{top + 1}", "1..1000000000", "1000000000",
+                 "-1000000000..5", f"1..{top},{top + 1}", "1000000000..1000000001"):
+        with pytest.raises(ValidationError):
+            parse_lag_list(text)
+
+
+@pytest.mark.parametrize("lags", ["1..1000000000", "1000000000", "-1000000000..5"])
+@pytest.mark.parametrize("command", ["coeffs", "psi-divergence"])
+def test_absurd_lags_are_validation_errors(tmp_path, frechet_file, capsys, monkeypatch,
+                                           command, lags):
+    # A stub range() and discretize stand in for 10^9 ints and fold products.
+    def walk(*a, **k):
+        raise AssertionError("lag walk started")
+
+    monkeypatch.setattr(cli, "range", _bounded_range, raising=False)
+    monkeypatch.setattr(coefficients, "discretize", walk)
+    monkeypatch.setattr(bounds, "discretize", walk)
+    out = tmp_path / "out.json"
+    if command == "coeffs":
+        argv = ["coeffs", "--spec", frechet_file, "--n", "8"]
+    else:
+        argv = ["psi-divergence", "--a", "0.2", "--b", "0.3"]
+    _assert_validation_error(capsys, argv + [f"--lags={lags}", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_lag", [str(grid.MAX_RESOLUTION + 1), "1000000000"])
+def test_absurd_rate_horizon_is_validation_error(frechet_file, capsys, monkeypatch, max_lag):
+    # discretize raising stands in for the walk of 10^9 fold products.
+    def walk(*a, **k):
+        raise AssertionError("rate table discretized")
+
+    monkeypatch.setattr(bounds, "discretize", walk)
+    _assert_validation_error(
+        capsys, ["verify", "--theorem", "exponential-rate", "--spec", frechet_file,
+                 "--n", "8", "--max-lag", max_lag]
+    )
+    with pytest.raises(bounds.ValidationError):
+        bounds.exponential_rate_table(Frechet(a=0.2, b=0.3), 1, 8, int(max_lag))
 
 
 def test_non_ascii_spec_is_validation_error(tmp_path, capsys):
